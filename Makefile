@@ -62,10 +62,12 @@ lint-diff:
 	$(GO) run ./cmd/sepevet -diff $(DIFF_REF) ./...
 
 # Race-detector gate over the concurrent planes: the serving daemon,
-# the striped containers, and the adaptive lifecycle. `make check`
-# runs the whole suite under -race; this target is the focused loop.
+# the flat container storage the shard and adaptive layers reach from
+# many goroutines, the striped containers, and the adaptive lifecycle.
+# `make check` runs the whole suite under -race; this target is the
+# focused loop.
 race:
-	$(GO) test -race ./cmd/sepeserve/... ./internal/shard/... ./internal/adaptive/...
+	$(GO) test -race ./cmd/sepeserve/... ./internal/container/... ./internal/shard/... ./internal/adaptive/...
 
 # Mutation testing for the plan-IR certifier: re-runs the seeded
 # planner-bug suite (internal/core/mutation_test.go) verbosely. Every
@@ -132,8 +134,9 @@ benchobs:
 # Fuzz every public-surface target for FUZZTIME each: regex parsing,
 # inference, synthesized hashes on arbitrary keys, the bijective
 # container's off-format guard, the hardware kernels against their
-# bit-at-a-time references, and the plan wire decoder on arbitrary
-# frames (the serving plane's trust boundary).
+# bit-at-a-time references, the plan wire decoder on arbitrary frames
+# (the serving plane's trust boundary), and the flat container table
+# against its slice-per-bucket reference model.
 fuzz:
 	$(GO) test -fuzz=FuzzParseRegex -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzInfer -fuzztime=$(FUZZTIME) -run '^$$' .
@@ -144,6 +147,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAesRoundHW -fuzztime=$(FUZZTIME) -run '^$$' ./internal/aesround/
 	$(GO) test -fuzz=FuzzShardedMapOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard/
 	$(GO) test -fuzz=FuzzPlanDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
+	$(GO) test -fuzz=FuzzTableOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/container/
 
 # Regenerate every table and figure of the paper at full cost
 # (≈25 minutes; writes results_full.txt and results_grid.csv).

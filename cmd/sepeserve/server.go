@@ -18,8 +18,10 @@ import (
 // HTTP surface of the daemon. All bodies are JSON except plan
 // export/import, which move raw wire frames (application/octet-stream)
 // so a plan file works unchanged as a cache entry, a curl download and
-// an import body. Hash values are rendered as 16-digit hex strings:
-// JSON numbers are float64 and silently corrupt 64-bit values.
+// an import body. Hash values are rendered as lowercase hex strings
+// without leading zeros (1 to 16 digits, "0" for zero), which
+// strconv.ParseUint(s, 16, 64) reads back: JSON numbers are float64
+// and silently corrupt 64-bit values.
 
 const (
 	// maxBatch bounds one batch-hash request; larger batches answer
@@ -289,6 +291,8 @@ func (s *server) handleHash(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// hex64 renders a hash value for a response body: lowercase hex, not
+// zero-padded.
 func hex64(v uint64) string { return strconv.FormatUint(v, 16) }
 
 func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {

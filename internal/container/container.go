@@ -14,11 +14,26 @@
 //     exactly as the paper does ("we iterate over the buckets logging
 //     the number of keys inside the same bucket").
 //
+// The chains are stored flat, not as one allocation per bucket. Each
+// bucket is an int32 head indexing one array of entries (hash, key,
+// value: 32 bytes for an int value), a parallel int32 array links each
+// entry to the next in its chain, and erased slots are zeroed and
+// reused through a free list. Growth, migration and refills relink
+// indices instead of allocating per bucket. Chains keep insertion
+// order, so bucket assignment, B-Coll and iteration order are those of
+// a slice-per-bucket table. The int32 indices limit one table to
+// math.MaxInt32 entries; a sharded container's limit is that times its
+// shard count.
+//
 // The Indexer hook reproduces RQ7's "low-mixing container": an indexer
 // that discards low-order hash bits before the modulo.
 package container
 
-import "github.com/sepe-go/sepe/internal/hashes"
+import (
+	"math"
+
+	"github.com/sepe-go/sepe/internal/hashes"
+)
 
 // Indexer maps a 64-bit hash to a bucket in [0, buckets).
 type Indexer func(hash uint64, buckets int) int
@@ -80,31 +95,45 @@ type Hooks struct {
 // small prime).
 const initialBuckets = 13
 
-// entry is one key/value pair in a bucket chain.
+// maxEntries is the per-table entry limit: slots are addressed by
+// int32 indices, and -1 ends a chain.
+const maxEntries = math.MaxInt32
+
+// entry is one key/value pair. Its chain link lives in a parallel
+// array, so entry[int] stays 32 bytes and never straddles a cache line.
 type entry[V any] struct {
 	hash uint64
 	key  string
 	val  V
 }
 
-// table is the shared chained-bucket core.
+// table is the shared chained-bucket core, stored flat: ents holds
+// every entry, links[i] is the slot after ents[i] in its chain (or, for
+// an erased slot, the next free one), and heads maps each bucket to
+// its first slot. -1 ends a chain and marks an empty bucket. Inserts
+// append at the chain tail and rehashes relink in old-bucket order, so
+// every chain keeps insertion order.
 //
-// During a live migration (rehashInto) the table holds two bucket
-// regions: `buckets` indexed by the new hash function, and `old`
-// indexed by the retired one. Operations consult both; each drain
-// step moves a few old buckets across, so a container can swap hash
-// functions under load without a stop-the-world rehash.
+// During a live migration (rehashInto) the table holds two head arrays
+// over the same entries: `heads` indexed by the new hash function, and
+// `old` indexed by the retired one. Operations consult both; each
+// drain step relinks a few old buckets' entries into the new heads, so
+// a container can swap hash functions under load without a
+// stop-the-world rehash and without moving an entry.
 type table[V any] struct {
-	hash    hashes.Func
-	index   Indexer
-	buckets [][]entry[V]
-	size    int
-	multi   bool
-	hooks   *Hooks
+	hash  hashes.Func
+	index Indexer
+	heads []int32
+	ents  []entry[V]
+	links []int32
+	free  int32 // first erased slot, -1 when none
+	size  int
+	multi bool
+	hooks *Hooks
 
 	// Migration state: nil/empty when no migration is in progress.
 	oldHash  hashes.Func
-	old      [][]entry[V]
+	old      []int32
 	drainPos int
 }
 
@@ -113,20 +142,98 @@ func newTable[V any](hash hashes.Func, index Indexer, multi bool) *table[V] {
 		index = ModIndexer
 	}
 	return &table[V]{
-		hash:    hash,
-		index:   index,
-		buckets: make([][]entry[V], initialBuckets),
-		multi:   multi,
+		hash:  hash,
+		index: index,
+		heads: emptyBuckets(make([]int32, initialBuckets)),
+		free:  -1,
+		multi: multi,
 	}
 }
 
-func (t *table[V]) bucketOf(h uint64) int { return t.index(h, len(t.buckets)) }
+// emptyBuckets marks every bucket of heads empty and returns it.
+func emptyBuckets(heads []int32) []int32 {
+	for b := range heads {
+		heads[b] = -1
+	}
+	return heads
+}
 
-// oldBucket returns the retired-region chain for key, with the hash
-// the chain's entries were stored under. Only valid while migrating.
-func (t *table[V]) oldBucket(key string) (*[]entry[V], uint64) {
+func (t *table[V]) bucketOf(h uint64) int { return t.index(h, len(t.heads)) }
+
+// oldHead returns the retired-region bucket for key, with the hash its
+// entries were stored under. Only valid while migrating.
+func (t *table[V]) oldHead(key string) (*int32, uint64) {
 	oh := t.oldHash(key)
 	return &t.old[t.index(oh, len(t.old))], oh
+}
+
+// slot returns n as the index of a new slot, panicking at the
+// per-table limit rather than letting the int32 wrap.
+func slot(n int) int32 {
+	if n >= maxEntries {
+		panic("container: table is full: math.MaxInt32 entries is the per-table limit of its int32 slot indices")
+	}
+	return int32(n)
+}
+
+// alloc stores e in an unlinked slot, reusing erased slots first, and
+// returns the slot.
+func (t *table[V]) alloc(e entry[V]) int32 {
+	if i := t.free; i >= 0 {
+		t.free = t.links[i]
+		t.ents[i] = e
+		t.links[i] = -1
+		return i
+	}
+	i := slot(len(t.ents))
+	t.ents = append(t.ents, e)
+	t.links = append(t.links, -1)
+	return i
+}
+
+// release zeroes slot i, so it pins no key or value, and pushes it on
+// the free list. The caller has already unlinked it.
+func (t *table[V]) release(i int32) {
+	t.ents[i] = entry[V]{}
+	t.links[i] = t.free
+	t.free = i
+}
+
+// find walks the chain starting at slot head for key, stored under
+// hash h. It returns the first matching slot, or -1, and the number of
+// entries examined.
+func (t *table[V]) find(head int32, h uint64, key string) (int32, int) {
+	n := 0
+	for i := head; i >= 0; i = t.links[i] {
+		n++
+		if e := &t.ents[i]; e.hash == h && e.key == key {
+			return i, n
+		}
+	}
+	return -1, n
+}
+
+// findOld continues a lookup of key in the retired region, adding the
+// entries it examines to probes. Only valid while migrating.
+func (t *table[V]) findOld(key string, probes int) (int32, int) {
+	head, oh := t.oldHead(key)
+	i, n := t.find(*head, oh, key)
+	return i, probes + n
+}
+
+// linkTail appends the unlinked slot i to the chain at *head and
+// returns the chain's previous length.
+func (t *table[V]) linkTail(head *int32, i int32) int {
+	last, n := int32(-1), 0
+	for j := *head; j >= 0; j = t.links[j] {
+		last, n = j, n+1
+	}
+	if last < 0 {
+		*head = i
+	} else {
+		t.links[last] = i
+	}
+	return n
 }
 
 // put inserts key→val under its precomputed hash h (h must equal
@@ -137,39 +244,27 @@ func (t *table[V]) oldBucket(key string) (*[]entry[V], uint64) {
 func (t *table[V]) put(h uint64, key string, val V) bool {
 	b := t.bucketOf(h)
 	if !t.multi {
-		chain := t.buckets[b]
-		for i := range chain {
-			if chain[i].hash == h && chain[i].key == key {
-				chain[i].val = val
-				if t.hooks != nil && t.hooks.OnPut != nil {
-					t.hooks.OnPut(key, i+1, 0)
-				}
-				return false
-			}
-		}
-		if t.old != nil {
+		i, probes := t.find(t.heads[b], h, key)
+		if i < 0 && t.old != nil {
 			// The key may still live in the retired region; replacing
 			// it there (instead of appending a shadowing entry) keeps
 			// the table duplicate-free through the migration.
-			ochain, oh := t.oldBucket(key)
-			for i := range *ochain {
-				if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
-					(*ochain)[i].val = val
-					if t.hooks != nil && t.hooks.OnPut != nil {
-						t.hooks.OnPut(key, len(chain)+i+1, 0)
-					}
-					return false
-				}
+			i, probes = t.findOld(key, probes)
+		}
+		if i >= 0 {
+			t.ents[i].val = val
+			if t.hooks != nil && t.hooks.OnPut != nil {
+				t.hooks.OnPut(key, probes, 0)
 			}
+			return false
 		}
 	}
-	before := len(t.buckets[b])
-	t.buckets[b] = append(t.buckets[b], entry[V]{hash: h, key: key, val: val})
+	before := t.linkTail(&t.heads[b], t.alloc(entry[V]{hash: h, key: key, val: val}))
 	t.size++
 	if t.hooks != nil && t.hooks.OnPut != nil {
 		probes := before
 		if t.multi {
-			probes = 0 // multi inserts append without scanning
+			probes = 0 // multi inserts append without comparing keys
 		}
 		delta := 0
 		if before > 0 {
@@ -177,130 +272,100 @@ func (t *table[V]) put(h uint64, key string, val V) bool {
 		}
 		t.hooks.OnPut(key, probes, delta)
 	}
-	if t.size > len(t.buckets) { // max load factor 1, as libstdc++
-		t.rehash(nextBucketCount(len(t.buckets)))
+	if t.size > len(t.heads) { // max load factor 1, as libstdc++
+		t.rehash(nextBucketCount(len(t.heads)))
 	}
 	return true
 }
 
 // get returns the first value mapped to key (stored under hash h).
 func (t *table[V]) get(h uint64, key string) (V, bool) {
-	chain := t.buckets[t.bucketOf(h)]
-	for i := range chain {
-		if chain[i].hash == h && chain[i].key == key {
-			if t.hooks != nil && t.hooks.OnGet != nil {
-				t.hooks.OnGet(key, i+1, true)
-			}
-			return chain[i].val, true
-		}
-	}
-	probes := len(chain)
-	if t.old != nil {
-		ochain, oh := t.oldBucket(key)
-		for i := range *ochain {
-			if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
-				if t.hooks != nil && t.hooks.OnGet != nil {
-					t.hooks.OnGet(key, probes+i+1, true)
-				}
-				return (*ochain)[i].val, true
-			}
-		}
-		probes += len(*ochain)
+	i, probes := t.find(t.heads[t.bucketOf(h)], h, key)
+	if i < 0 && t.old != nil {
+		i, probes = t.findOld(key, probes)
 	}
 	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, false)
+		t.hooks.OnGet(key, probes, i >= 0)
 	}
-	var zero V
-	return zero, false
+	if i < 0 {
+		var zero V
+		return zero, false
+	}
+	return t.ents[i].val, true
+}
+
+// gather counts the entries for key, stored under hash h, in the chain
+// starting at slot head, appending their values to *out when out is
+// not nil. It returns the matches and the entries examined.
+func (t *table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, probes int) {
+	for i := head; i >= 0; i = t.links[i] {
+		probes++
+		if e := &t.ents[i]; e.hash == h && e.key == key {
+			matches++
+			if out != nil {
+				*out = append(*out, e.val)
+			}
+		}
+	}
+	return matches, probes
+}
+
+// gatherAll is gather over key's chains in both regions, reported to
+// OnGet as one lookup. It returns the matches.
+func (t *table[V]) gatherAll(h uint64, key string, out *[]V) int {
+	matches, probes := t.gather(t.heads[t.bucketOf(h)], h, key, out)
+	if t.old != nil {
+		head, oh := t.oldHead(key)
+		m, p := t.gather(*head, oh, key, out)
+		matches, probes = matches+m, probes+p
+	}
+	if t.hooks != nil && t.hooks.OnGet != nil {
+		t.hooks.OnGet(key, probes, matches > 0)
+	}
+	return matches
 }
 
 // count returns the number of entries with the given key.
-func (t *table[V]) count(h uint64, key string) int {
-	chain := t.buckets[t.bucketOf(h)]
-	n := 0
-	for i := range chain {
-		if chain[i].hash == h && chain[i].key == key {
-			n++
-		}
-	}
-	probes := len(chain)
-	if t.old != nil {
-		ochain, oh := t.oldBucket(key)
-		for i := range *ochain {
-			if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
-				n++
-			}
-		}
-		probes += len(*ochain)
-	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, n > 0)
-	}
-	return n
-}
+func (t *table[V]) count(h uint64, key string) int { return t.gatherAll(h, key, nil) }
 
 // collect returns every value mapped to key (multimap GetAll).
 func (t *table[V]) collect(h uint64, key string) []V {
-	chain := t.buckets[t.bucketOf(h)]
 	var out []V
-	for i := range chain {
-		if chain[i].hash == h && chain[i].key == key {
-			out = append(out, chain[i].val)
-		}
-	}
-	probes := len(chain)
-	if t.old != nil {
-		ochain, oh := t.oldBucket(key)
-		for i := range *ochain {
-			if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
-				out = append(out, (*ochain)[i].val)
-			}
-		}
-		probes += len(*ochain)
-	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, len(out) > 0)
-	}
+	t.gatherAll(h, key, &out)
 	return out
 }
 
-// delFrom erases key (stored under hash h) from one bucket chain,
-// returning entries examined, entries removed, and the bucket-collision
-// delta.
-func delFrom[V any](bucket *[]entry[V], h uint64, key string) (probes, removed, collDelta int) {
-	chain := *bucket
-	kept := chain[:0]
-	for i := range chain {
-		if chain[i].hash == h && chain[i].key == key {
+// unlink erases every entry for key, stored under hash h, from the
+// chain at *head, returning entries examined, entries removed, and the
+// bucket-collision delta.
+func (t *table[V]) unlink(head *int32, h uint64, key string) (probes, removed, collDelta int) {
+	prev := int32(-1)
+	for i := *head; i >= 0; {
+		next := t.links[i]
+		probes++
+		if e := &t.ents[i]; e.hash == h && e.key == key {
+			if prev < 0 {
+				*head = next
+			} else {
+				t.links[prev] = next
+			}
+			t.release(i)
 			removed++
-			continue
+		} else {
+			prev = i
 		}
-		kept = append(kept, chain[i])
+		i = next
 	}
-	if removed > 0 {
-		// Clear the tail so removed values do not pin memory.
-		for i := len(kept); i < len(chain); i++ {
-			chain[i] = entry[V]{}
-		}
-		*bucket = kept
-	}
-	before, after := len(chain)-1, len(chain)-removed-1
-	if before < 0 {
-		before = 0
-	}
-	if after < 0 {
-		after = 0
-	}
-	return len(chain), removed, after - before
+	return probes, removed, max(probes-removed-1, 0) - max(probes-1, 0)
 }
 
 // del removes all entries with the given key, returning how many were
 // removed (erase(key) semantics of the unordered containers).
 func (t *table[V]) del(h uint64, key string) int {
-	probes, removed, collDelta := delFrom(&t.buckets[t.bucketOf(h)], h, key)
+	probes, removed, collDelta := t.unlink(&t.heads[t.bucketOf(h)], h, key)
 	if t.old != nil {
-		ochain, oh := t.oldBucket(key)
-		p, r, c := delFrom(ochain, oh, key)
+		head, oh := t.oldHead(key)
+		p, r, c := t.unlink(head, oh, key)
 		probes += p
 		removed += r
 		collDelta += c
@@ -312,27 +377,42 @@ func (t *table[V]) del(h uint64, key string) int {
 	return removed
 }
 
+// rehash relinks the live region's entries into n fresh buckets,
+// allocating only the head array. To keep chain order, each new chain
+// must list its entries as appending them in old-bucket order, each
+// chain front to back, would. Prepending in exactly the reverse of that
+// order gives the same chains in O(n): old buckets last to first, each
+// chain reversed in place before it is relinked.
 func (t *table[V]) rehash(n int) {
-	old := t.buckets
-	t.buckets = make([][]entry[V], n)
-	for _, chain := range old {
-		for _, e := range chain {
-			b := t.bucketOf(e.hash)
-			t.buckets[b] = append(t.buckets[b], e)
+	old := t.heads
+	t.heads = emptyBuckets(make([]int32, n))
+	for b := len(old) - 1; b >= 0; b-- {
+		rev := int32(-1)
+		for i := old[b]; i >= 0; {
+			next := t.links[i]
+			t.links[i] = rev
+			rev, i = i, next
+		}
+		for i := rev; i >= 0; {
+			next := t.links[i]
+			nb := t.bucketOf(t.ents[i].hash)
+			t.links[i] = t.heads[nb]
+			t.heads[nb] = i
+			i = next
 		}
 	}
 	if t.hooks != nil && t.hooks.OnRehash != nil {
 		// Rebucketing invalidates any incremental collision tracking;
 		// hand the observer an exact recount (O(buckets), dwarfed by
 		// the O(n) rehash itself).
-		t.hooks.OnRehash(len(t.buckets), t.bucketCollisions())
+		t.hooks.OnRehash(len(t.heads), t.bucketCollisions())
 	}
 }
 
 // reserve grows the table so that n entries fit without rehashing
 // (std::unordered_map::reserve).
 func (t *table[V]) reserve(n int) {
-	if n <= len(t.buckets) {
+	if n <= len(t.heads) {
 		return
 	}
 	t.rehash(nextPrime(n))
@@ -349,34 +429,33 @@ func (t *table[V]) rehashInto(newHash hashes.Func) {
 		t.drain(len(t.old))
 	}
 	t.oldHash = t.hash
-	t.old = t.buckets
+	t.old = t.heads
 	t.drainPos = 0
 	t.hash = newHash
-	n := 2*t.size + 1
-	if n < initialBuckets {
-		n = initialBuckets
-	}
-	t.buckets = make([][]entry[V], nextPrime(n))
+	t.heads = emptyBuckets(make([]int32, nextPrime(max(2*t.size+1, initialBuckets))))
 	if t.hooks != nil && t.hooks.OnMigrateStart != nil {
-		t.hooks.OnMigrateStart(len(t.old), len(t.buckets))
+		t.hooks.OnMigrateStart(len(t.old), len(t.heads))
 	}
 }
 
-// drain moves up to k retired buckets into the live region, returning
-// true while the migration is still in progress. Each moved entry's
-// hash is recomputed under the new function.
+// drain relinks up to k retired buckets' entries into the live region,
+// returning true while the migration is still in progress. Each moved
+// entry's hash is recomputed under the new function.
 func (t *table[V]) drain(k int) bool {
 	if t.old == nil {
 		return false
 	}
 	for ; k > 0 && t.drainPos < len(t.old); k-- {
-		chain := t.old[t.drainPos]
-		t.old[t.drainPos] = nil
+		i := t.old[t.drainPos]
+		t.old[t.drainPos] = -1
 		t.drainPos++
-		for _, e := range chain {
+		for i >= 0 {
+			next := t.links[i]
+			t.links[i] = -1
+			e := &t.ents[i]
 			e.hash = t.hash(e.key)
-			b := t.bucketOf(e.hash)
-			t.buckets[b] = append(t.buckets[b], e)
+			t.linkTail(&t.heads[t.bucketOf(e.hash)], i)
+			i = next
 		}
 	}
 	if t.drainPos < len(t.old) {
@@ -386,13 +465,13 @@ func (t *table[V]) drain(k int) bool {
 	// recount, exactly as after a normal rehash.
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
 	if t.hooks != nil && t.hooks.OnMigrateDone != nil {
-		t.hooks.OnMigrateDone(len(t.buckets))
+		t.hooks.OnMigrateDone(len(t.heads))
 	}
 	if t.hooks != nil && t.hooks.OnRehash != nil {
-		t.hooks.OnRehash(len(t.buckets), t.bucketCollisions())
+		t.hooks.OnRehash(len(t.heads), t.bucketCollisions())
 	}
-	if t.size > len(t.buckets) {
-		t.rehash(nextBucketCount(len(t.buckets)))
+	if t.size > len(t.heads) {
+		t.rehash(nextBucketCount(len(t.heads)))
 	}
 	return false
 }
@@ -402,15 +481,16 @@ func (t *table[V]) migrating() bool { return t.old != nil }
 
 // loadFactor returns size/buckets (std::unordered_map::load_factor).
 func (t *table[V]) loadFactor() float64 {
-	return float64(t.size) / float64(len(t.buckets))
+	return float64(t.size) / float64(len(t.heads))
 }
 
-// clear removes every entry, keeping the bucket array. Any in-flight
-// migration ends: the retired region is dropped with the entries.
+// clear removes every entry, keeping the bucket array and the entry
+// storage's capacity. Any in-flight migration ends: the retired region
+// is dropped with the entries.
 func (t *table[V]) clear() {
-	for i := range t.buckets {
-		t.buckets[i] = nil
-	}
+	emptyBuckets(t.heads)
+	clear(t.ents) // so dropped keys and values pin no memory
+	t.ents, t.links, t.free = t.ents[:0], t.links[:0], -1
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
 	t.size = 0
 	if t.hooks != nil && t.hooks.OnClear != nil {
@@ -419,17 +499,16 @@ func (t *table[V]) clear() {
 }
 
 // bucketCollisions counts keys sharing a bucket with an earlier key:
-// Σ max(0, len(bucket)−1), the paper's B-Coll measurement.
+// Σ max(0, len(bucket)−1), the paper's B-Coll measurement. Every entry
+// but the first of each chain is one, so it is the entry count less
+// the non-empty buckets of both regions.
 func (t *table[V]) bucketCollisions() int {
-	n := 0
-	for _, chain := range t.buckets {
-		if len(chain) > 1 {
-			n += len(chain) - 1
-		}
-	}
-	for _, chain := range t.old {
-		if len(chain) > 1 {
-			n += len(chain) - 1
+	n := t.size
+	for _, heads := range [2][]int32{t.heads, t.old} {
+		for _, i := range heads {
+			if i >= 0 {
+				n--
+			}
 		}
 	}
 	return n
@@ -438,28 +517,24 @@ func (t *table[V]) bucketCollisions() int {
 // maxBucketLen returns the longest chain, a worst-case probe measure.
 func (t *table[V]) maxBucketLen() int {
 	m := 0
-	for _, chain := range t.buckets {
-		if len(chain) > m {
-			m = len(chain)
-		}
-	}
-	for _, chain := range t.old {
-		if len(chain) > m {
-			m = len(chain)
+	for _, heads := range [2][]int32{t.heads, t.old} {
+		for _, head := range heads {
+			n := 0
+			for i := head; i >= 0; i = t.links[i] {
+				n++
+			}
+			m = max(m, n)
 		}
 	}
 	return m
 }
 
 func (t *table[V]) forEach(f func(key string, val V)) {
-	for _, chain := range t.buckets {
-		for i := range chain {
-			f(chain[i].key, chain[i].val)
-		}
-	}
-	for _, chain := range t.old {
-		for i := range chain {
-			f(chain[i].key, chain[i].val)
+	for _, heads := range [2][]int32{t.heads, t.old} {
+		for _, head := range heads {
+			for i := head; i >= 0; i = t.links[i] {
+				f(t.ents[i].key, t.ents[i].val)
+			}
 		}
 	}
 }

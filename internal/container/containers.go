@@ -330,7 +330,7 @@ func (s *MultiSet) EraseHashed(h uint64, key string) int { return s.t.del(h, key
 func stats[V any](t *table[V]) Stats {
 	return Stats{
 		Size:             t.size,
-		Buckets:          len(t.buckets),
+		Buckets:          len(t.heads),
 		BucketCollisions: t.bucketCollisions(),
 		MaxBucketLen:     t.maxBucketLen(),
 	}

@@ -2,6 +2,9 @@ package container
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/sepe-go/sepe/internal/hashes"
@@ -160,17 +163,128 @@ func TestHooksReserveRehash(t *testing.T) {
 }
 
 // TestNilHooksZeroAlloc asserts the disabled-telemetry path allocates
-// nothing per operation beyond the table's own storage.
+// nothing per operation beyond the table's own storage, including
+// re-inserts that reuse erased slots and refills after Clear.
 func TestNilHooksZeroAlloc(t *testing.T) {
 	m := NewMap[int](hashes.STL, nil)
 	m.Reserve(1024)
-	for i := 0; i < 512; i++ {
-		m.Put(fmt.Sprintf("key-%05d", i), i)
+	keys := make([]string, 512)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%05d", i)
+		m.Put(keys[i], i)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.Get("key-00005")
-	})
-	if allocs != 0 {
-		t.Fatalf("Get with nil hooks allocates %.1f/op", allocs)
+	ops := []struct {
+		name string
+		op   func()
+	}{
+		{"hit Get", func() { m.Get(keys[5]) }},
+		{"miss Get", func() { m.Get("absent") }},
+		{"update Put", func() { m.Put(keys[7], 7) }},
+		{"miss Delete", func() { m.Delete("absent") }},
+		{"Delete and re-insert", func() {
+			for _, k := range keys[:64] {
+				m.Delete(k)
+			}
+			for i, k := range keys[:64] {
+				m.Put(k, i)
+			}
+		}},
+		{"Clear and refill", func() {
+			m.Clear()
+			for i, k := range keys {
+				m.Put(k, i)
+			}
+		}},
 	}
+	for _, o := range ops {
+		if allocs := testing.AllocsPerRun(100, o.op); allocs != 0 {
+			t.Errorf("%s with nil hooks allocates %.1f/op", o.name, allocs)
+		}
+	}
+	if m.Len() != len(keys) {
+		t.Fatalf("Len = %d, want %d", m.Len(), len(keys))
+	}
+}
+
+// TestRehashAllocsIndependentOfSize asserts that rehashing and a full
+// incremental migration allocate only their head arrays, however many
+// entries they relink.
+func TestRehashAllocsIndependentOfSize(t *testing.T) {
+	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
+		tab := newTable[int](hashes.STL, nil, false)
+		for i := 0; i < n; i++ {
+			k := migKey(i)
+			tab.put(tab.hash(k), k, i)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { tab.rehash(len(tab.heads)) }); allocs != 1 {
+			t.Errorf("%d entries: rehash allocates %.1f, want 1 (the head array)", n, allocs)
+		}
+		migrate := func() {
+			tab.rehashInto(hashes.FNV)
+			for tab.drain(64) {
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, migrate); allocs != 1 {
+			t.Errorf("%d entries: migration allocates %.1f, want 1 (the new head array)", n, allocs)
+		}
+		if tab.size != n {
+			t.Fatalf("%d entries: size %d after rehash and migration", n, tab.size)
+		}
+	}
+}
+
+// TestErasedSlotsZeroedAndReused checks the free list: an erased slot
+// holds no key or value, and inserts fill erased slots before growing
+// the entry array.
+func TestErasedSlotsZeroedAndReused(t *testing.T) {
+	tab := newTable[int](hashes.STL, nil, false)
+	for i := 0; i < 100; i++ {
+		k := migKey(i)
+		tab.put(tab.hash(k), k, i+1)
+	}
+	for i := 0; i < 100; i += 2 {
+		k := migKey(i)
+		tab.del(tab.hash(k), k)
+	}
+	free := 0
+	for i := tab.free; i >= 0; i = tab.links[i] {
+		if tab.ents[i] != (entry[int]{}) {
+			t.Fatalf("erased slot %d holds %+v", i, tab.ents[i])
+		}
+		free++
+	}
+	if free != 50 {
+		t.Fatalf("free list holds %d slots, want 50", free)
+	}
+	for i := 0; i < 100; i += 2 {
+		k := migKey(i)
+		tab.put(tab.hash(k), k, i+1)
+	}
+	if len(tab.ents) != 100 || tab.free != -1 {
+		t.Fatalf("re-inserts grew the entry array to %d (free head %d), want 100 slots reused", len(tab.ents), tab.free)
+	}
+}
+
+// TestEntrySize pins the entry layout: chain links live in a parallel
+// array so that an int-valued entry stays 32 bytes and never straddles
+// a 64-byte cache line.
+func TestEntrySize(t *testing.T) {
+	if got := reflect.TypeOf(entry[int]{}).Size(); got != 32 {
+		t.Fatalf("entry[int] is %d bytes, want 32", got)
+	}
+}
+
+// TestSlotIndexLimit pins the capacity guard: slot indices are int32,
+// so the slot past math.MaxInt32-1 panics instead of wrapping.
+func TestSlotIndexLimit(t *testing.T) {
+	if got := slot(math.MaxInt32 - 1); got != math.MaxInt32-1 {
+		t.Fatalf("slot(MaxInt32-1) = %d", got)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "per-table limit") {
+			t.Fatalf("slot(MaxInt32) panicked with %q, want the per-table limit message", msg)
+		}
+	}()
+	slot(math.MaxInt32)
 }
