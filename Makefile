@@ -135,8 +135,9 @@ benchobs:
 # inference, synthesized hashes on arbitrary keys, the bijective
 # container's off-format guard, the hardware kernels against their
 # bit-at-a-time references, the plan wire decoder on arbitrary frames
-# (the serving plane's trust boundary), and the flat container table
-# against its slice-per-bucket reference model.
+# (the serving plane's trust boundary), the flat container table
+# against its slice-per-bucket reference model, and sepeserve's
+# one-pass hash request scan against encoding/json.
 fuzz:
 	$(GO) test -fuzz=FuzzParseRegex -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzInfer -fuzztime=$(FUZZTIME) -run '^$$' .
@@ -148,6 +149,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzShardedMapOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard/
 	$(GO) test -fuzz=FuzzPlanDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/container/
+	$(GO) test -fuzz=FuzzHashRequest -fuzztime=$(FUZZTIME) -run '^$$' ./cmd/sepeserve/
 
 # Regenerate every table and figure of the paper at full cost
 # (≈25 minutes; writes results_full.txt and results_grid.csv).

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/telemetry"
@@ -421,5 +423,86 @@ func TestReservoirRing(t *testing.T) {
 	r.clear()
 	if r.len() != 0 || len(r.snapshot()) != 0 {
 		t.Fatal("clear left keys behind")
+	}
+}
+
+// TestReservoirDoesNotAliasCallerKeys checks that the reservoir copies
+// the keys it keeps: a key sliced out of a large request body must not
+// pin that body for as long as it stays in the ring.
+func TestReservoirDoesNotAliasCallerKeys(t *testing.T) {
+	body := strings.Repeat("x", 1<<10) + "12345678"
+	key := body[len(body)-8:]
+	r := newReservoir(4)
+	r.add(key)
+	got := r.snapshot()[0]
+	if got != key {
+		t.Fatalf("stored %q, want %q", got, key)
+	}
+	if unsafe.StringData(got) == unsafe.StringData(key) {
+		t.Fatal("reservoir stores the caller's bytes, not a copy")
+	}
+}
+
+// TestGenerationMatchesPinnedVariant swaps variants while other
+// goroutines hash, and checks that every generation HashBatch and
+// HashGen report is the generation of the function that produced the
+// values — a response built from them never straddles a swap.
+func TestGenerationMatchesPinnedVariant(t *testing.T) {
+	// Generation g hashes with fnOf(g), so every value names its
+	// generation. The matcher accepts everything: no drift, so the test
+	// is the only swapper.
+	fnOf := func(gen uint64) hashes.Func {
+		return func(k string) uint64 { return hashes.FNV(k)&(1<<48-1) | gen<<48 }
+	}
+	never := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
+		return nil, nil, errors.New("unexpected re-synthesis")
+	}
+	h, err := New("t", fnOf(1), func(string) bool { return true }, fastCfg(never))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = oldKey(i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]uint64, len(keys))
+			for b := 0; b < 2000; b++ {
+				gen := h.HashBatch(keys, out)
+				for i, k := range keys {
+					if want := fnOf(gen)(k); out[i] != want {
+						t.Errorf("HashBatch reported generation %d, but key %d hashed to %#x, want %#x", gen, i, out[i], want)
+						return
+					}
+				}
+				if hv, gen := h.HashGen(keys[0]); hv != fnOf(gen)(keys[0]) {
+					t.Errorf("HashGen reported generation %d with hash %#x", gen, hv)
+					return
+				}
+			}
+		}()
+	}
+	hashed := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(hashed)
+	}()
+	// Swap until every hasher is done, so swaps keep landing mid-batch.
+	for swapping := true; swapping; {
+		select {
+		case <-hashed:
+			swapping = false
+		default:
+			h.swap(fnOf(h.Generation() + 1))
+		}
+	}
+	if h.Generation() < 2 {
+		t.Fatal("no swap happened")
 	}
 }

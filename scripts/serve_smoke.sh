@@ -3,7 +3,8 @@
 #
 # Exercises the full serving life cycle the unit tests cover only
 # in-process: start the daemon with a plan cache, register a format,
-# poll readiness, hash single and batch keys, export the plan, restart
+# poll readiness, hash single and batch keys (the batch answer checked
+# byte for byte against the single-key hashes), export the plan, restart
 # the daemon, verify the warm start served the cached plan (same hash,
 # no re-synthesis), import the exported plan under a new name, and shut
 # down cleanly on SIGTERM. Any failed step exits non-zero.
@@ -45,6 +46,12 @@ wait_ready() {
     fail "tenant $1 not ready after 10s"
 }
 
+# hash_of TENANT KEY: print the tenant's hash of one key (hex).
+hash_of() {
+    curl -sf "$BASE/v1/hash/$1" -d "{\"key\":\"$2\"}" \
+        | sed -n 's/^{"generation":[0-9]*,"hash":"\([0-9a-f]*\)"}$/\1/p'
+}
+
 start_daemon() {
     "$BIN" -addr "127.0.0.1:$PORT" -cache "$CACHE" -quick >>"$LOG" 2>&1 &
     PID=$!
@@ -82,11 +89,16 @@ curl -sf -X POST "$BASE/v1/formats" \
 wait_ready ssn
 
 echo "serve-smoke: hash"
-H1=$(curl -sf "$BASE/v1/hash/ssn" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+H1=$(hash_of ssn 123-45-6789)
 [ -n "$H1" ] || fail "single-key hash returned no value"
+H1B=$(hash_of ssn 987-65-4321)
+[ -n "$H1B" ] || fail "single-key hash returned no value"
+# The batch answer is pinned byte for byte, trailing newline included.
+printf '{"generation":1,"hashes":["%s","%s"]}\n' "$H1" "$H1B" >"$DIR/batch.want"
 curl -sf "$BASE/v1/hash/ssn" -d '{"keys":["123-45-6789","987-65-4321"]}' \
-    | grep -q '"hashes"' || fail "batch hash failed"
+    -o "$DIR/batch.got" || fail "batch hash failed"
+cmp -s "$DIR/batch.want" "$DIR/batch.got" \
+    || fail "batch answer $(cat "$DIR/batch.got"), want $(cat "$DIR/batch.want")"
 
 echo "serve-smoke: export"
 curl -sf "$BASE/v1/formats/ssn/plan" -o "$DIR/ssn.sepeplan" || fail "plan export failed"
@@ -98,8 +110,7 @@ stop_daemon
 start_daemon
 grep -q "preloaded 1 tenant" "$LOG" || fail "warm start did not preload from the cache"
 wait_ready ssn
-H2=$(curl -sf "$BASE/v1/hash/ssn" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+H2=$(hash_of ssn 123-45-6789)
 [ "$H1" = "$H2" ] || fail "hash changed across restart ($H1 -> $H2)"
 curl -sf "$BASE/v1/formats/ssn" | grep -q '"source": "cache"' \
     || fail "restarted tenant was not served from the cache"
@@ -107,8 +118,7 @@ curl -sf "$BASE/v1/formats/ssn" | grep -q '"source": "cache"' \
 echo "serve-smoke: import under a new name"
 curl -sf -X PUT --data-binary "@$DIR/ssn.sepeplan" \
     "$BASE/v1/formats/ssn2/plan" >/dev/null || fail "plan import failed"
-H3=$(curl -sf "$BASE/v1/hash/ssn2" -d '{"key":"123-45-6789"}' \
-    | sed -n 's/.*"hash": "\([0-9a-f]*\)".*/\1/p')
+H3=$(hash_of ssn2 123-45-6789)
 [ "$H1" = "$H3" ] || fail "imported plan hashes differently ($H1 -> $H3)"
 
 echo "serve-smoke: clean shutdown"
