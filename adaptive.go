@@ -221,7 +221,7 @@ func NewMapAdaptiveObserved[V any](h *AdaptiveHash, cm *ContainerMetrics) *Adapt
 		c: adaptiveCore{h: h.a, gen: h.a.Generation()},
 		m: container.NewMap[V](h.a.Current(), nil),
 	}
-	m.m.SetHooks(batchedContainerHooks(cm))
+	m.m.SetHooks(containerHooks(cm, false))
 	return m
 }
 

@@ -193,7 +193,8 @@ func TestObsPairedOverhead(t *testing.T) {
 }
 
 // TestObservabilityZeroAllocs pins the 0 allocs/op half of the
-// acceptance bar on both hot paths with the full plane enabled.
+// acceptance bar with the full plane enabled: the instrumented hash,
+// the observed map, and the observed sharded map.
 func TestObservabilityZeroAllocs(t *testing.T) {
 	f, err := sepe.ParseRegex(`[0-9]{3}-[0-9]{2}-[0-9]{4}`)
 	if err != nil {
@@ -224,6 +225,22 @@ func TestObservabilityZeroAllocs(t *testing.T) {
 		i++
 	}); n != 0 {
 		t.Errorf("observed map Put/Get allocates %.2f per op", n)
+	}
+
+	sm := sepe.NewShardedMapObserved[int](h.Func(), reg, "obs.sharded")
+	for _, k := range keys {
+		sm.Put(k, 0)
+	}
+	i = 0
+	if n := testing.AllocsPerRun(4096, func() {
+		k := keys[i%len(keys)]
+		sm.Put(k, i)
+		sm.Get(k)
+		sm.Delete(k)
+		sm.Put(k, i)
+		i++
+	}); n != 0 {
+		t.Errorf("observed sharded map Put/Get/Delete allocates %.2f per op", n)
 	}
 
 	// The plane actually observed something (histograms, exemplars,

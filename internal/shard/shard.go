@@ -10,10 +10,15 @@
 //
 // The per-shard tables keep indexing buckets from the full hash
 // modulo a prime, which depends on the low bits — so routing and
-// probing consume disjoint ends of the word and a function that mixes
-// either end spreads load at both levels. (A low-bit shard selector
-// would alias with the modulo and starve buckets, the same low-mixing
-// failure RQ7 studies for containers.)
+// probing consume disjoint ends of the word. (A low-bit shard
+// selector would alias with the modulo and starve buckets, the same
+// low-mixing failure RQ7 studies for containers.) The top bits are
+// used unmixed, so shards are only as balanced as those bits: a
+// mixing function (Aes, STLHash) spreads keys evenly, but the
+// non-mixing families do not — a Pext plan routes on its highest
+// extracted key bits, and xor-folding families (Naive, OffXor) can
+// send every key of a fixed-width format to one shard. DESIGN.md §8
+// records the measured spread per family and format.
 //
 // The hash is computed once per operation, outside any lock, and
 // handed to the shard's table through the container package's

@@ -162,109 +162,155 @@ const (
 )
 
 // probeSampleEvery thins the per-op observation on the batched
-// single-owner container path: one in probeSampleEvery operations of
-// each kind feeds its chain depth into the histogram and the
-// longest-probe exemplar (a uniform sample of a stationary probe
+// container path: one in probeSampleEvery operations of each kind —
+// put, get and delete — feeds its chain depth into the histogram and
+// the longest-probe exemplar (a uniform sample of a stationary probe
 // distribution lands in the same power-of-two buckets, and a
 // recurring deep chain is sampled with probability 1 over time).
-// Deletes are exempt: they are rare next to puts and gets, so every
-// one is observed exactly.
 const probeSampleEvery = 32
 
-// flushSamples is how many sampled operations a BatchedContainerOps
-// accumulates before publishing its local op counters — one flush per
-// probeSampleEvery*flushSamples operations in steady state.
-const flushSamples = 8
+// flushSamples is how many sampled operations' worth of one kind a
+// BatchedContainerOps counts locally before publishing them: a kind's
+// shared counter moves once per flushChunk operations in steady state,
+// and trails the truth by fewer than flushChunk.
+const (
+	flushSamples = 8
+	flushChunk   = probeSampleEvery * flushSamples
+)
 
-// BatchedContainerOps adapts a ContainerMetrics block for a
-// single-owner container, trading read-side freshness for per-op
-// cost: the unsampled path is two plain increments and a branch, and
-// all shared-atomic work (histograms, the exemplar, counter flushes)
-// happens on the 1-in-probeSampleEvery sampled path. Put/get counters
-// consequently trail the true totals by a few hundred operations per
-// adapter; deletes, rehashes, clears, and migrations flush pending
-// counts first, so snapshots taken after any structural event are
-// exact.
+// opCount counts one kind of operation for a BatchedContainerOps. n
+// counts every operation since the adapter was made, so its residue
+// picks the sampled ones and a flush never shifts the sampling phase
+// (a container that deletes every few operations would otherwise
+// never sample a put); flushed is the value of n at the last Flush.
+// The operation that brings n to a multiple of flushChunk publishes
+// the operations since the previous multiple or flush, whichever is
+// later, and Flush publishes the rest.
+type opCount struct{ n, flushed uint64 }
+
+// flush publishes to c the operations no chunk has covered yet.
 //
-// Like the Instrument wrapper, a BatchedContainerOps value must stay
-// confined to the goroutine that owns its container — exactly the
-// ownership discipline the unsharded containers already require.
-// Sharded containers, whose read paths run concurrently under shard
-// RLocks, must keep feeding the atomic ContainerMetrics methods
-// directly.
-type BatchedContainerOps struct {
-	m       *ContainerMetrics
-	samples uint32
-	puts    uint32
-	gets    uint32
-	dels    uint32
+//sepe:noalloc
+func (o *opCount) flush(c *Counter) {
+	if d := o.n - max(o.flushed, o.n&^(flushChunk-1)); d != 0 {
+		c.Add(d)
+	}
+	o.flushed = o.n
 }
 
-// NewBatchedContainerOps returns a single-owner batching adapter over m.
+// BatchedContainerOps adapts a ContainerMetrics block for one table,
+// trading read-side freshness for per-op cost: the common path is an
+// increment and a branch, and all shared-atomic work (histograms, the
+// exemplar, counter publishes) happens on one operation in
+// probeSampleEvery. Put and get counts consequently trail the true
+// totals by fewer than flushChunk operations each per adapter.
+// Deletes, rehashes, clears and migrations flush pending counts, so a
+// snapshot taken after any of them is exact for that table.
+//
+// The adapter's owner is whatever serializes its table's writes: the
+// goroutine that owns a single-owner container, or the write lock of
+// one shard of a sharded container (every Put, Delete, Reserve,
+// Clear, BeginMigration and MigrateStep holds it). Every method but
+// ConcurrentGet must run under that owner. A table whose lookups run
+// concurrently with each other (a shard's lookups hold only its read
+// lock) records them with ConcurrentGet instead of Get; an adapter
+// uses one of the two, never both.
+//
+// The struct is 64 bytes, a size class whose objects are 64-byte
+// aligned, so an operation dirties one cache line of its adapter:
+// that line is what the cores sharing a shard hand back and forth.
+type BatchedContainerOps struct {
+	puts, gets, dels opCount
+	// sharedGets counts ConcurrentGet calls; Flush, which no lookup
+	// overlaps, copies it into gets.n.
+	sharedGets atomic.Uint64
+	m          *ContainerMetrics
+}
+
+// NewBatchedContainerOps returns a batching adapter over m.
 func NewBatchedContainerOps(m *ContainerMetrics) *BatchedContainerOps {
 	return &BatchedContainerOps{m: m}
 }
-
-// Metrics returns the underlying shared metrics block.
-func (b *BatchedContainerOps) Metrics() *ContainerMetrics { return b.m }
 
 // Put records one insert of key that examined probes chain entries.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Put(key string, probes int) {
-	b.puts++
-	if b.puts%probeSampleEvery == 0 {
-		b.sample(key, probes, &b.m.putProbes)
+	b.puts.n++
+	if b.puts.n%probeSampleEvery == 0 {
+		b.sample(&b.puts, b.puts.n, key, probes)
 	}
 }
 
-// Get records one lookup of key that examined probes chain entries.
+// Get records one lookup of key that examined probes chain entries,
+// made by the adapter's owner.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Get(key string, probes int) {
-	b.gets++
-	if b.gets%probeSampleEvery == 0 {
-		b.sample(key, probes, &b.m.getProbes)
+	b.gets.n++
+	if b.gets.n%probeSampleEvery == 0 {
+		b.sample(&b.gets, b.gets.n, key, probes)
 	}
 }
 
-// Delete records one erase of key that examined probes chain entries,
-// exactly, and flushes pending counts.
+// ConcurrentGet is Get for lookups that run concurrently with each
+// other but never with the owner's methods. It counts with one atomic
+// add and samples and publishes off the value the add returns: each
+// value reaches exactly one call, so each chunk is published exactly
+// once.
+//
+//sepe:noalloc
+func (b *BatchedContainerOps) ConcurrentGet(key string, probes int) {
+	if n := b.sharedGets.Add(1); n%probeSampleEvery == 0 {
+		b.sample(&b.gets, n, key, probes)
+	}
+}
+
+// Delete records one erase of key that examined probes chain entries
+// and flushes pending counts.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Delete(key string, probes int) {
-	b.dels++
-	b.m.delProbes.Observe(uint64(probes))
-	b.m.longest.offerNow(key, uint64(probes))
+	b.dels.n++
+	if b.dels.n%probeSampleEvery == 0 {
+		b.sample(&b.dels, b.dels.n, key, probes)
+	}
 	b.Flush()
 }
 
-func (b *BatchedContainerOps) sample(key string, probes int, h *Histogram) {
+// sample feeds the n-th operation of the kind o counts, a sampled
+// one, to the kind's histogram and the exemplar, and publishes its
+// chunk when n ends one. It only reads o, so concurrent lookups may
+// share it.
+//
+//sepe:noalloc
+func (b *BatchedContainerOps) sample(o *opCount, n uint64, key string, probes int) {
+	c, h := &b.m.deletes, &b.m.delProbes
+	switch o {
+	case &b.puts:
+		c, h = &b.m.puts, &b.m.putProbes
+	case &b.gets:
+		c, h = &b.m.gets, &b.m.getProbes
+	}
 	h.Observe(uint64(probes))
 	b.m.longest.offerNow(key, uint64(probes))
-	b.samples++
-	if b.samples%flushSamples == 0 {
-		b.Flush()
+	if n%flushChunk == 0 {
+		c.Add(n - max(o.flushed, n-flushChunk))
 	}
 }
 
 // Flush publishes the locally accumulated operation counts to the
-// shared metrics block.
+// shared metrics block. It must run under the adapter's owner, with
+// no lookup in flight.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Flush() {
-	if b.puts != 0 {
-		b.m.puts.Add(uint64(b.puts))
-		b.puts = 0
+	if s := b.sharedGets.Load(); s > b.gets.n {
+		b.gets.n = s
 	}
-	if b.gets != 0 {
-		b.m.gets.Add(uint64(b.gets))
-		b.gets = 0
-	}
-	if b.dels != 0 {
-		b.m.deletes.Add(uint64(b.dels))
-		b.dels = 0
-	}
+	b.puts.flush(&b.m.puts)
+	b.gets.flush(&b.m.gets)
+	b.dels.flush(&b.m.deletes)
 }
 
 // HashMetrics aggregates the runtime behaviour of one hash function:
@@ -423,12 +469,14 @@ type ContainerMetrics struct {
 	deletes    Counter
 	rehashes   Counter
 	migrations Counter
-	putProbes  Histogram
-	getProbes  Histogram
-	delProbes  Histogram
-	longest    maxExemplar
-	bcoll      atomic.Int64
-	migrating  atomic.Bool
+	// bcoll shares the op counters' cache line, so a delete's count
+	// and its collision delta dirty one line.
+	bcoll     atomic.Int64
+	putProbes Histogram
+	getProbes Histogram
+	delProbes Histogram
+	longest   maxExemplar
+	migrating atomic.Bool
 
 	// rec receives container lifecycle events (migration start/done)
 	// when the block was created through a registry; nil otherwise.
@@ -535,7 +583,13 @@ func maxOpProbes(a, b OpProbes) OpProbes {
 
 // ContainerSnapshot is a point-in-time copy of container metrics.
 type ContainerSnapshot struct {
-	Name     string `json:"name"`
+	Name string `json:"name"`
+	// Puts, Gets and Deletes count operations (the
+	// sepe_container_ops_total series). Fed through a
+	// BatchedContainerOps, Puts and Gets each trail the truth by fewer
+	// than probeSampleEvery×flushSamples (256) per block — per shard,
+	// for a sharded container — and are exact after a delete or a
+	// structural event on that table.
 	Puts     uint64 `json:"puts"`
 	Gets     uint64 `json:"gets"`
 	Deletes  uint64 `json:"deletes"`

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestCounter(t *testing.T) {
@@ -127,6 +128,91 @@ func TestContainerMetrics(t *testing.T) {
 	m.Reset()
 	if got := m.BucketCollisions(); got != 0 {
 		t.Fatalf("after Reset: %d", got)
+	}
+}
+
+// TestBatchedContainerOpsSingleOwner pins the adapter's accounting on
+// a single-owner table that deletes every third operation: put counts
+// trail by fewer than flushChunk, every delete makes all counts exact,
+// and the sampling phase survives the flushes (one put in
+// probeSampleEvery is still sampled).
+func TestBatchedContainerOpsSingleOwner(t *testing.T) {
+	m := NewContainerMetrics("single")
+	b := NewBatchedContainerOps(m)
+	var puts, gets, dels uint64
+	for i := 0; i < 20000; i++ {
+		switch {
+		case i%3 == 2:
+			b.Delete("k", 1)
+			dels++
+			if s := m.Snapshot(); s.Puts != puts || s.Gets != gets || s.Deletes != dels {
+				t.Fatalf("op %d: after a delete counts are %d/%d/%d, want %d/%d/%d",
+					i, s.Puts, s.Gets, s.Deletes, puts, gets, dels)
+			}
+		case i%7 == 0:
+			b.Get("k", 2)
+			gets++
+		default:
+			b.Put("k", 3)
+			puts++
+		}
+		if s := m.Snapshot(); s.Puts > puts || puts-s.Puts >= flushChunk || s.Gets > gets || gets-s.Gets >= flushChunk {
+			t.Fatalf("op %d: published %d puts, %d gets of %d, %d", i, s.Puts, s.Gets, puts, gets)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		h      *Histogram
+		ops    uint64
+		probes uint64
+	}{{"put", &m.putProbes, puts, 3}, {"get", &m.getProbes, gets, 2}, {"delete", &m.delProbes, dels, 1}} {
+		hs := c.h.Snapshot()
+		if want := c.ops / probeSampleEvery; hs.Count != want || hs.Sum != want*c.probes {
+			t.Errorf("%s probes: %d samples summing to %d, want %d of %d", c.name, hs.Count, hs.Sum, want, c.probes)
+		}
+	}
+}
+
+// TestBatchedContainerOpsLayout pins the size the adapter's doc
+// comment relies on: one 64-byte cache line.
+func TestBatchedContainerOpsLayout(t *testing.T) {
+	if size := unsafe.Sizeof(BatchedContainerOps{}); size != 64 {
+		t.Fatalf("BatchedContainerOps is %d bytes, want 64", size)
+	}
+}
+
+// TestBatchedContainerOpsConcurrentGets runs ConcurrentGets from
+// several goroutines at once, as a shard's readers do under its read
+// lock, then flushes with none in flight, as the shard's write lock
+// does.
+func TestBatchedContainerOpsConcurrentGets(t *testing.T) {
+	const readers, each = 4, 10007
+	m := NewContainerMetrics("shard")
+	b := NewBatchedContainerOps(m)
+	for round := 1; round <= 3; round++ {
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					b.ConcurrentGet("k", 5)
+				}
+			}()
+		}
+		wg.Wait()
+		want := uint64(round * readers * each)
+		if got := m.Snapshot().Gets; got > want || want-got >= flushChunk {
+			t.Fatalf("round %d: %d gets published before the flush, want within %d of %d", round, got, flushChunk, want)
+		}
+		b.Put("k", 1)
+		b.Flush()
+		if got := m.Snapshot().Gets; got != want {
+			t.Fatalf("round %d: %d gets after the flush, want %d", round, got, want)
+		}
+	}
+	if hs := m.getProbes.Snapshot(); hs.Count != 3*readers*each/probeSampleEvery {
+		t.Fatalf("%d get samples, want %d", hs.Count, 3*readers*each/probeSampleEvery)
 	}
 }
 

@@ -142,49 +142,23 @@ func (f *Format) DriftMonitor(name string, cfg DriftConfig) *DriftMonitor {
 	return telemetry.Default.NewDrift(name, f.Matches, cfg)
 }
 
-// containerHooks adapts a ContainerMetrics block to the internal
-// container hook interface using the atomic per-op methods. Sharded
-// containers need this form: their read paths run concurrently under
-// shard RLocks, so per-op state must be shared-safe.
-func containerHooks(cm *ContainerMetrics) *container.Hooks {
-	if cm == nil {
-		return nil
-	}
-	return &container.Hooks{
-		OnPut: func(key string, probes, delta int) {
-			cm.Put(key, probes)
-			if delta != 0 {
-				cm.CollisionDelta(delta)
-			}
-		},
-		OnGet: func(key string, probes int, _ bool) { cm.Get(key, probes) },
-		OnDelete: func(key string, probes, _, delta int) {
-			cm.Delete(key, probes)
-			if delta != 0 {
-				cm.CollisionDelta(delta)
-			}
-		},
-		OnRehash:       func(_, bcoll int) { cm.Rehash(bcoll) },
-		OnClear:        func() { cm.Reset() },
-		OnMigrateStart: cm.MigrateStart,
-		OnMigrateDone:  cm.MigrateDone,
-	}
-}
-
-// batchedContainerHooks adapts cm for the unsharded containers, which
-// are single-owner by contract (the container itself is not
-// goroutine-safe, so its hooks inherit the same confinement). Op
-// counters batch locally and flush every few dozen operations —
-// structural events (delete, rehash, clear, migration) flush pending
-// counts first, so counts are exact after any of them — keeping the
-// per-op observability drag within the hot-path budget measured in
-// BENCH_obs.json. B-Coll deltas stay immediate: the running collision
-// count backs the quality alarms and must not trail the table.
-func batchedContainerHooks(cm *ContainerMetrics) *container.Hooks {
+// containerHooks adapts cm to the container hook interface through
+// one BatchedContainerOps, whose owner is whatever serializes the
+// table's writes: the owning goroutine of a single-owner container,
+// or the write lock of one shard of a sharded container.
+// concurrentGets marks the shard case, where lookups run concurrently
+// under the shard's read lock and so record through ConcurrentGet.
+// B-Coll deltas stay immediate: the running collision count backs the
+// quality alarms and must not trail the table.
+func containerHooks(cm *ContainerMetrics, concurrentGets bool) *container.Hooks {
 	if cm == nil {
 		return nil
 	}
 	b := telemetry.NewBatchedContainerOps(cm)
+	onGet := func(key string, probes int, _ bool) { b.Get(key, probes) }
+	if concurrentGets {
+		onGet = func(key string, probes int, _ bool) { b.ConcurrentGet(key, probes) }
+	}
 	return &container.Hooks{
 		OnPut: func(key string, probes, delta int) {
 			b.Put(key, probes)
@@ -192,7 +166,7 @@ func batchedContainerHooks(cm *ContainerMetrics) *container.Hooks {
 				cm.CollisionDelta(delta)
 			}
 		},
-		OnGet: func(key string, probes int, _ bool) { b.Get(key, probes) },
+		OnGet: onGet,
 		OnDelete: func(key string, probes, _, delta int) {
 			b.Delete(key, probes)
 			if delta != 0 {
@@ -228,11 +202,10 @@ func MergeContainerSnapshots(name string, parts []ContainerSnapshot) ContainerSn
 }
 
 // shardHooksOf builds the per-shard hook selector for a sharded
-// observed container: shard i feeds ms[i]. The ContainerMetrics hot
-// paths are atomic, so concurrent shard operations update their
-// blocks without coordination.
+// observed container: shard i gets its own adapter feeding ms[i],
+// owned by that shard's write lock.
 func shardHooksOf(ms []*ContainerMetrics) func(int) *container.Hooks {
-	return func(i int) *container.Hooks { return containerHooks(ms[i]) }
+	return func(i int) *container.Hooks { return containerHooks(ms[i], true) }
 }
 
 // NewShardedMapObserved returns a ShardedMap with one metric block
@@ -287,27 +260,27 @@ func NewShardedMultiSetObserved(hash HashFunc, r *MetricsRegistry, name string, 
 // nil cm yields a plain, unobserved Map.
 func NewMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *Map[V] {
 	m := NewMap[V](hash)
-	m.m.SetHooks(batchedContainerHooks(cm))
+	m.m.SetHooks(containerHooks(cm, false))
 	return m
 }
 
 // NewSetObserved returns a Set whose operations feed cm.
 func NewSetObserved(hash HashFunc, cm *ContainerMetrics) *Set {
 	s := NewSet(hash)
-	s.s.SetHooks(batchedContainerHooks(cm))
+	s.s.SetHooks(containerHooks(cm, false))
 	return s
 }
 
 // NewMultiMapObserved returns a MultiMap whose operations feed cm.
 func NewMultiMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *MultiMap[V] {
 	m := NewMultiMap[V](hash)
-	m.m.SetHooks(batchedContainerHooks(cm))
+	m.m.SetHooks(containerHooks(cm, false))
 	return m
 }
 
 // NewMultiSetObserved returns a MultiSet whose operations feed cm.
 func NewMultiSetObserved(hash HashFunc, cm *ContainerMetrics) *MultiSet {
 	s := NewMultiSet(hash)
-	s.s.SetHooks(batchedContainerHooks(cm))
+	s.s.SetHooks(containerHooks(cm, false))
 	return s
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/sepe-go/sepe"
@@ -95,6 +96,138 @@ func TestObservedContainerKinds(t *testing.T) {
 		if c.Puts == 0 {
 			t.Fatalf("container %s recorded no puts", c.Name)
 		}
+	}
+}
+
+// shardedObserved is the part of a sharded observed container's API
+// TestShardedObservedMetrics drives, so maps and sets share one body.
+type shardedObserved struct {
+	put    func(key string)
+	get    func(key string) bool
+	del    func(key string) int
+	stats  func() sepe.TableStats
+	shards func() []sepe.TableStats
+}
+
+// TestShardedObservedMetrics drives sharded observed containers from
+// two goroutines: disjoint puts, then gets of the shared key set, then
+// one delete per shard from each goroutine. Each shard's delete
+// flushes that shard's pending counts, so the merged counts must be
+// exact, and the running B-Coll must match the offline recount.
+func TestShardedObservedMetrics(t *testing.T) {
+	const (
+		workers   = 2
+		shards    = 8
+		perWorker = 2000
+	)
+	// The routing hash's top log2(shards) bits pick a key's shard.
+	shardOf := func(key string) int { return int(sepe.STLHash(key) >> (64 - 3)) }
+	keys := make([][]string, workers)
+	for w := range keys {
+		for i := 0; i < perWorker; i++ {
+			keys[w] = append(keys[w], fmt.Sprintf("w%d-key-%05d", w, i))
+		}
+	}
+	// Each worker deletes its first key in every shard; the shared
+	// lookups skip those keys, since they may run after the delete.
+	doomed := make([][]string, workers)
+	var shared []string
+	perShard := make([]int, shards)
+	for w := range keys {
+		seen := make([]bool, shards)
+		for _, k := range keys[w] {
+			sh := shardOf(k)
+			perShard[sh]++
+			if !seen[sh] {
+				seen[sh] = true
+				doomed[w] = append(doomed[w], k)
+			} else {
+				shared = append(shared, k)
+			}
+		}
+		if len(doomed[w]) != shards {
+			t.Fatalf("worker %d owns keys in %d of %d shards", w, len(doomed[w]), shards)
+		}
+	}
+
+	reg := sepe.NewMetricsRegistry()
+	m := sepe.NewShardedMapObserved[int](sepe.STLHash, reg, "map", sepe.WithShards(shards))
+	s := sepe.NewShardedSetObserved(sepe.STLHash, reg, "set", sepe.WithShards(shards))
+	for name, c := range map[string]shardedObserved{
+		"map": {
+			put:    func(k string) { m.Put(k, len(k)) },
+			get:    func(k string) bool { v, ok := m.Get(k); return ok && v == len(k) },
+			del:    m.Delete,
+			stats:  m.Stats,
+			shards: m.ShardStats,
+		},
+		"set": {
+			put:    func(k string) { s.Add(k) },
+			get:    s.Has,
+			del:    s.Delete,
+			stats:  s.Stats,
+			shards: s.ShardStats,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(f func(w int)) {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						f(w)
+					}(w)
+				}
+				wg.Wait()
+			}
+			run(func(w int) {
+				for _, k := range keys[w] {
+					c.put(k)
+				}
+			})
+			for i, st := range c.shards() {
+				if st.Size != perShard[i] {
+					t.Fatalf("shard %d holds %d keys, routing predicts %d", i, st.Size, perShard[i])
+				}
+			}
+			run(func(w int) {
+				for _, k := range shared {
+					if !c.get(k) {
+						t.Errorf("worker %d: %q not found", w, k)
+						return
+					}
+				}
+				for _, k := range doomed[w] {
+					if n := c.del(k); n != 1 {
+						t.Errorf("worker %d: delete %q removed %d", w, k, n)
+					}
+				}
+			})
+
+			var parts []sepe.ContainerSnapshot
+			for _, cs := range reg.Snapshot().Containers {
+				if strings.HasPrefix(cs.Name, name+".shard") {
+					parts = append(parts, cs)
+				}
+			}
+			if len(parts) != shards {
+				t.Fatalf("%d per-shard blocks, want %d", len(parts), shards)
+			}
+			got := sepe.MergeContainerSnapshots(name, parts)
+			wantGets := uint64(workers * len(shared))
+			if got.Puts != workers*perWorker || got.Gets != wantGets || got.Deletes != workers*shards {
+				t.Fatalf("merged counts puts=%d gets=%d deletes=%d, want %d %d %d",
+					got.Puts, got.Gets, got.Deletes, workers*perWorker, wantGets, workers*shards)
+			}
+			if want := int64(c.stats().BucketCollisions); got.BucketCollisions != want {
+				t.Fatalf("running B-Coll = %d, Stats recount = %d", got.BucketCollisions, want)
+			}
+			if got.PutProbes.Max == 0 || got.GetProbes.Max == 0 || got.LongestProbe == nil {
+				t.Fatalf("probe histograms or exemplar empty: put %+v get %+v longest %v",
+					got.PutProbes, got.GetProbes, got.LongestProbe)
+			}
+		})
 	}
 }
 
