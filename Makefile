@@ -64,12 +64,15 @@ lint-diff:
 # Race-detector gate over the concurrent planes: the serving daemon,
 # the flat container storage the shard and adaptive layers reach from
 # many goroutines, the striped containers, the adaptive lifecycle,
-# and the sharded observed containers, whose per-shard telemetry
-# adapters count concurrent lookups. `make check` runs the whole
-# suite under -race; this target is the focused loop.
+# the sharded observed containers, whose per-shard telemetry adapters
+# count concurrent lookups, and the composition differential test,
+# whose sharded compositions run four goroutines across hash swaps.
+# `make check` runs the whole suite under -race; this target is the
+# focused loop.
 race:
 	$(GO) test -race ./cmd/sepeserve/... ./internal/container/... ./internal/shard/... ./internal/adaptive/...
 	$(GO) test -race -run 'TestShardedObservedMetrics' -count=10 .
+	$(GO) test -race -run 'TestCompositionDifferential|TestForEachMutatingCallback' -count=1 .
 
 # Mutation testing for the plan-IR certifier: re-runs the seeded
 # planner-bug suite (internal/core/mutation_test.go) verbosely. Every

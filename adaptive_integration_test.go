@@ -34,7 +34,7 @@ func TestAdaptiveEndToEndDriftRecoveryLoop(t *testing.T) {
 	}
 	defer ah.Close()
 
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 
 	// Phase 1: conforming SSN traffic.
 	const pre = 4000

@@ -104,7 +104,7 @@ func TestAdaptiveMapSurvivesDriftWithInjectedSynthesizer(t *testing.T) {
 	}
 	defer ah.Close()
 
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 	const pre = 2000
 	for i := 0; i < pre; i++ {
 		m.Put(ssn(i), i)
@@ -162,9 +162,9 @@ func TestAdaptiveSetAndMultiShapes(t *testing.T) {
 	}
 	defer ah.Close()
 
-	s := sepe.NewSetAdaptive(ah)
-	mm := sepe.NewMultiMapAdaptive[string](ah)
-	ms := sepe.NewMultiSetAdaptive(ah)
+	s := sepe.NewSet(ah)
+	mm := sepe.NewMultiMap[string](ah)
+	ms := sepe.NewMultiSet(ah)
 	for i := 0; i < 500; i++ {
 		s.Add(ssn(i))
 		mm.Put(ssn(i%50), fmt.Sprint(i))

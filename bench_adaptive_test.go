@@ -10,7 +10,7 @@ import (
 // The adaptive read-path acceptance bar: AdaptiveHash.Hash in the
 // healthy steady state is one atomic pointer load plus a sampling
 // check on top of the raw specialized function, and must stay within
-// 10% of it. AdaptiveMap adds the per-op generation check of the
+// 10% of it. A map built from the AdaptiveHash adds the per-op
 // migration tick. Numbers are recorded in BENCH_adaptive.json.
 
 func benchAdaptiveSetup(b *testing.B) (*sepe.AdaptiveHash, sepe.HashFunc, []string) {
@@ -45,7 +45,7 @@ func BenchmarkAdaptivePextHash(b *testing.B) {
 
 func BenchmarkAdaptiveMapPut(b *testing.B) {
 	ah, _, keys := benchAdaptiveSetup(b)
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Put(keys[i%len(keys)], i)
@@ -63,7 +63,7 @@ func BenchmarkPlainMapPut(b *testing.B) {
 
 func BenchmarkAdaptiveMapGet(b *testing.B) {
 	ah, _, keys := benchAdaptiveSetup(b)
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 	for i, k := range keys {
 		m.Put(k, i)
 	}
@@ -111,7 +111,7 @@ func TestAdaptiveReadPathZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { ah.Hash(key) }); n != 0 {
 		t.Errorf("adaptive Hash allocates %.1f per op", n)
 	}
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 	m.Put(key, 1)
 	// Let the sampled Observe of the Put settle before measuring.
 	time.Sleep(time.Millisecond)

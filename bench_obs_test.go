@@ -77,7 +77,7 @@ func BenchmarkObsMapPutGetObserved(b *testing.B) {
 	reg := obsRegistry()
 	full := sepe.Instrument(fn, reg.NewHash("obs"),
 		reg.NewDrift("obs", f.Matches, sepe.DriftConfig{}))
-	benchMapPutGet(b, sepe.NewMapObserved[int](full, reg.NewContainer("obs")), keys)
+	benchMapPutGet(b, sepe.NewMap[int](full, sepe.Observed(reg, "obs")), keys)
 }
 
 // The 64Ki-key variants run the same pair over a working set that no
@@ -94,7 +94,7 @@ func BenchmarkObsMapPutGetObserved64k(b *testing.B) {
 	reg := obsRegistry()
 	full := sepe.Instrument(fn, reg.NewHash("obs"),
 		reg.NewDrift("obs", f.Matches, sepe.DriftConfig{}))
-	benchMapPutGet(b, sepe.NewMapObserved[int](full, reg.NewContainer("obs")), f.Samples(1<<16, 9))
+	benchMapPutGet(b, sepe.NewMap[int](full, sepe.Observed(reg, "obs")), f.Samples(1<<16, 9))
 }
 
 // TestObsPairedOverhead is the measurement behind the overhead
@@ -151,7 +151,7 @@ func TestObsPairedOverhead(t *testing.T) {
 
 	for _, size := range []int{1024, 1 << 16} {
 		mraw := sepe.NewMap[int](raw)
-		mobs := sepe.NewMapObserved[int](full, reg.NewContainer(fmt.Sprintf("obs%d", size)))
+		mobs := sepe.NewMap[int](full, sepe.Observed(reg, fmt.Sprintf("obs%d", size)))
 		mkeys := f.Samples(size, 9)
 		for i, k := range mkeys {
 			mraw.Put(k, i)
@@ -213,7 +213,7 @@ func TestObservabilityZeroAllocs(t *testing.T) {
 		t.Errorf("full-plane instrumented hash allocates %.2f per op", n)
 	}
 
-	m := sepe.NewMapObserved[int](fn, reg.NewContainer("obs"))
+	m := sepe.NewMap[int](fn, sepe.Observed(reg, "obs"))
 	for _, k := range keys {
 		m.Put(k, 0)
 	}
@@ -227,7 +227,7 @@ func TestObservabilityZeroAllocs(t *testing.T) {
 		t.Errorf("observed map Put/Get allocates %.2f per op", n)
 	}
 
-	sm := sepe.NewShardedMapObserved[int](h.Func(), reg, "obs.sharded")
+	sm := sepe.NewMap[int](h.Func(), sepe.Sharded(0), sepe.Observed(reg, "obs.sharded"))
 	for _, k := range keys {
 		sm.Put(k, 0)
 	}

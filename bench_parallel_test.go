@@ -100,7 +100,7 @@ func BenchmarkParallelMap(b *testing.B) {
 	hash := parallelHash(b)
 	for _, g := range goroutineCounts() {
 		b.Run(fmt.Sprintf("sharded/goroutines=%d", g), func(b *testing.B) {
-			m := sepe.NewShardedMap[int](hash.Func())
+			m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 			for i, k := range keys {
 				m.Put(k, i)
 			}
@@ -127,7 +127,7 @@ func BenchmarkParallelSet(b *testing.B) {
 	hash := parallelHash(b)
 	for _, g := range goroutineCounts() {
 		b.Run(fmt.Sprintf("sharded/goroutines=%d", g), func(b *testing.B) {
-			s := sepe.NewShardedSet(hash.Func())
+			s := sepe.NewSet(hash.Func(), sepe.Sharded(0))
 			for _, k := range keys {
 				s.Add(k)
 			}
@@ -180,14 +180,14 @@ func BenchmarkPutGetBatch(b *testing.B) {
 		vals[i] = i
 	}
 	b.Run("putbatch", func(b *testing.B) {
-		m := sepe.NewShardedMap[int](hash.Func())
+		m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 		b.SetBytes(int64(len(keys)))
 		for i := 0; i < b.N; i++ {
 			m.PutBatch(keys, vals)
 		}
 	})
 	b.Run("putloop", func(b *testing.B) {
-		m := sepe.NewShardedMap[int](hash.Func())
+		m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 		b.SetBytes(int64(len(keys)))
 		for i := 0; i < b.N; i++ {
 			for j, k := range keys {
@@ -196,7 +196,7 @@ func BenchmarkPutGetBatch(b *testing.B) {
 		}
 	})
 	b.Run("getbatch", func(b *testing.B) {
-		m := sepe.NewShardedMap[int](hash.Func())
+		m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 		m.PutBatch(keys, vals)
 		got := make([]int, len(keys))
 		ok := make([]bool, len(keys))
@@ -207,7 +207,7 @@ func BenchmarkPutGetBatch(b *testing.B) {
 		}
 	})
 	b.Run("getloop", func(b *testing.B) {
-		m := sepe.NewShardedMap[int](hash.Func())
+		m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 		m.PutBatch(keys, vals)
 		b.SetBytes(int64(len(keys)))
 		b.ResetTimer()

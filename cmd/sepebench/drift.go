@@ -44,7 +44,7 @@ func runDriftInject(spec string) error {
 		return err
 	}
 	defer ah.Close()
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 
 	fmt.Printf("Drift injection: %s -> %s (format %s)\n\n",
 		fromT.Name(), toT.Name(), format.Regex())

@@ -47,7 +47,7 @@ func runParallel(n int) error {
 		{
 			"map",
 			func() (func(string), func(string)) {
-				m := sepe.NewShardedMap[int](hash.Func())
+				m := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 				return func(k string) { m.Put(k, 1) }, func(k string) { m.Get(k) }
 			},
 			func() (func(string), func(string)) {
@@ -60,7 +60,7 @@ func runParallel(n int) error {
 		{
 			"set",
 			func() (func(string), func(string)) {
-				s := sepe.NewShardedSet(hash.Func())
+				s := sepe.NewSet(hash.Func(), sepe.Sharded(0))
 				return func(k string) { s.Add(k) }, func(k string) { s.Has(k) }
 			},
 			func() (func(string), func(string)) {
@@ -73,7 +73,7 @@ func runParallel(n int) error {
 		{
 			"multimap",
 			func() (func(string), func(string)) {
-				m := sepe.NewShardedMultiMap[int](hash.Func())
+				m := sepe.NewMultiMap[int](hash.Func(), sepe.Sharded(0))
 				return func(k string) { m.Put(k, 1); m.Delete(k) }, func(k string) { m.Count(k) }
 			},
 			func() (func(string), func(string)) {
@@ -86,7 +86,7 @@ func runParallel(n int) error {
 		{
 			"multiset",
 			func() (func(string), func(string)) {
-				s := sepe.NewShardedMultiSet(hash.Func())
+				s := sepe.NewMultiSet(hash.Func(), sepe.Sharded(0))
 				return func(k string) { s.Add(k); s.Delete(k) }, func(k string) { s.Has(k) }
 			},
 			func() (func(string), func(string)) {
@@ -147,13 +147,13 @@ func runParallel(n int) error {
 	}
 	loopHash := time.Since(start)
 
-	bm := sepe.NewShardedMap[int](hash.Func())
+	bm := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 	start = time.Now()
 	for r := 0; r < rounds; r++ {
 		bm.PutBatch(ks, vals)
 	}
 	batchPut := time.Since(start)
-	lm := sepe.NewShardedMap[int](hash.Func())
+	lm := sepe.NewMap[int](hash.Func(), sepe.Sharded(0))
 	start = time.Now()
 	for r := 0; r < rounds; r++ {
 		for i, k := range ks {

@@ -155,7 +155,7 @@ type tenant struct {
 	role string
 	typ  keys.Type
 	ah   *sepe.AdaptiveHash
-	m    *sepe.AdaptiveMap[int]
+	m    *sepe.Map[int]
 	gen  *keys.Generator
 	zipf *zipfPicker
 	work []string
@@ -199,7 +199,7 @@ func newTenant(name, role string, typ keys.Type, seedVal uint64) (*tenant, error
 		role: role,
 		typ:  typ,
 		ah:   ah,
-		m:    sepe.NewMapAdaptive[int](ah),
+		m:    sepe.NewMap[int](ah),
 		gen:  gen,
 		zipf: newZipfPicker(4096, 1.07, r),
 		work: gen.Distinct(4096),

@@ -45,7 +45,7 @@ func main() {
 	}
 	defer ah.Close()
 
-	m := sepe.NewMapAdaptive[int](ah)
+	m := sepe.NewMap[int](ah)
 
 	fmt.Printf("phase 1: SSN traffic against the specialized hash (%s)\n", format.Regex())
 	for i := 0; i < 20000; i++ {

@@ -29,7 +29,7 @@ func main() {
 
 	// A sharded map with per-shard metrics in an isolated registry.
 	reg := sepe.NewMetricsRegistry()
-	m := sepe.NewShardedMapObserved[string](hash.Func(), reg, "accounts")
+	m := sepe.NewMap[string](hash.Func(), sepe.Sharded(0), sepe.Observed(reg, "accounts"))
 	fmt.Printf("sharded map over %s: %d shards (GOMAXPROCS=%d)\n",
 		hash, m.Shards(), runtime.GOMAXPROCS(0))
 

@@ -60,8 +60,7 @@ func main() {
 	// The observed adaptive map: probe depths and B-Coll feed the
 	// container block, and the incremental migration after each hash
 	// swap fires the migrate markers.
-	cm := sepe.Metrics().NewContainer("ssn-map")
-	m := sepe.NewMapAdaptiveObserved[int](ah, cm)
+	m := sepe.NewMap[int](ah, sepe.Observed(nil, "ssn-map"))
 	sepe.RegisterRuntimeMetrics()
 
 	mux := http.NewServeMux()

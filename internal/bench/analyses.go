@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/infer"
 	"github.com/sepe-go/sepe/internal/keys"
+	"github.com/sepe-go/sepe/internal/pattern"
 	"github.com/sepe-go/sepe/internal/stats"
 )
 
@@ -76,38 +78,48 @@ type SynthesisPoint struct {
 }
 
 // SynthesisScaling measures synthesis time for all-digit keys of size
-// 2^lo .. 2^hi (the paper uses 2^4 .. 2^14), repeating each size
-// `reps` times and keeping the minimum (noise floor).
+// 2^lo .. 2^hi (the paper uses 2^4 .. 2^14) and keeps each size's
+// minimum (noise floor) over `reps` rounds. Each round times every
+// size once, so a change in host load between rounds reaches all
+// sizes alike instead of bending the curve. Each measurement is timed
+// on CPU (see onCPU), after a collection, so neither a loaded host
+// that keeps the thread waiting for a processor nor a collection
+// triggered by an earlier size lands in it.
 func SynthesisScaling(fam core.Family, lo, hi, reps int) ([]SynthesisPoint, error) {
 	if reps <= 0 {
 		reps = 3
 	}
 	var out []SynthesisPoint
 	for e := lo; e <= hi; e++ {
-		size := 1 << e
-		// Two examples suffice (Example 3.6): all '0's and all '5's.
-		ex := []string{strings.Repeat("0", size), strings.Repeat("5", size)}
-		best := time.Duration(0)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			pat, err := infer.Infer(ex)
+		out = append(out, SynthesisPoint{KeySize: 1 << e})
+	}
+	for r := 0; r < reps; r++ {
+		for i := range out {
+			// Two examples suffice (Example 3.6): all '0's and all '5's.
+			size := out[i].KeySize
+			ex := []string{strings.Repeat("0", size), strings.Repeat("5", size)}
+			var err error
+			runtime.GC()
+			el := onCPU(func() {
+				var pat *pattern.Pattern
+				if pat, err = infer.Infer(ex); err != nil {
+					return
+				}
+				var fn *core.Fn
+				if fn, err = core.Synthesize(pat, fam, core.Options{}); err != nil {
+					return
+				}
+				if len(codegen.Go(fn.Plan(), codegen.GoOptions{})) == 0 {
+					err = fmt.Errorf("bench: empty emission")
+				}
+			})
 			if err != nil {
 				return nil, err
 			}
-			fn, err := core.Synthesize(pat, fam, core.Options{})
-			if err != nil {
-				return nil, err
-			}
-			src := codegen.Go(fn.Plan(), codegen.GoOptions{})
-			if len(src) == 0 {
-				return nil, fmt.Errorf("bench: empty emission")
-			}
-			el := time.Since(start)
-			if best == 0 || el < best {
-				best = el
+			if r == 0 || el < out[i].Elapsed {
+				out[i].Elapsed = el
 			}
 		}
-		out = append(out, SynthesisPoint{KeySize: size, Elapsed: best})
 	}
 	return out, nil
 }
@@ -182,7 +194,7 @@ func LowMixing(f hashes.Func, t keys.Type, d keys.Distribution, discards []uint,
 	pool := keys.NewGenerator(t, d, 0xBEEF).Distinct(n)
 	var out []LowMixingPoint
 	for _, x := range discards {
-		c := container.NewSet(f, container.HighBitsIndexer(x))
+		c := container.New(container.SetKind, f, container.HighBitsIndexer(x))
 		seen := make(map[uint64]struct{}, n)
 		tc := 0
 		for _, k := range pool {

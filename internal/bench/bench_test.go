@@ -243,6 +243,7 @@ func TestSynthesisScalingLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("Pearson r = %.4f over %v", r, pts)
 	// RQ6: "the smallest Pearson correlation … is 0.993".
 	if r < 0.97 {
 		t.Errorf("synthesis scaling Pearson r = %v, want ≥ 0.97 (linear)", r)

@@ -107,7 +107,8 @@ type entry[V any] struct {
 	val  V
 }
 
-// table is the shared chained-bucket core, stored flat: ents holds
+// Table is the one chained-bucket table behind all four container
+// kinds (multi selects the multimap/multiset semantics), stored flat: ents holds
 // every entry, links[i] is the slot after ents[i] in its chain (or, for
 // an erased slot, the next free one), and heads maps each bucket to
 // its first slot. -1 ends a chain and marks an empty bucket. Inserts
@@ -120,7 +121,10 @@ type entry[V any] struct {
 // drain step relinks a few old buckets' entries into the new heads, so
 // a container can swap hash functions under load without a
 // stop-the-world rehash and without moving an entry.
-type table[V any] struct {
+//
+// A Table is not safe for concurrent use; internal/shard stripes many
+// of them behind locks.
+type Table[V any] struct {
 	hash  hashes.Func
 	index Indexer
 	heads []int32
@@ -135,13 +139,21 @@ type table[V any] struct {
 	oldHash  hashes.Func
 	old      []int32
 	drainPos int
+
+	// swapped is set by the first migration: from then on hash is no
+	// longer the function the table was created with, so the hashed
+	// entry points recompute instead of trusting the
+	// caller's value.
+	swapped bool
 }
 
-func newTable[V any](hash hashes.Func, index Indexer, multi bool) *table[V] {
+// NewTable returns an empty table over hash; a nil index selects the
+// libstdc++ modulo policy, and multi keeps duplicate keys.
+func NewTable[V any](hash hashes.Func, index Indexer, multi bool) *Table[V] {
 	if index == nil {
 		index = ModIndexer
 	}
-	return &table[V]{
+	return &Table[V]{
 		hash:  hash,
 		index: index,
 		heads: emptyBuckets(make([]int32, initialBuckets)),
@@ -158,11 +170,11 @@ func emptyBuckets(heads []int32) []int32 {
 	return heads
 }
 
-func (t *table[V]) bucketOf(h uint64) int { return t.index(h, len(t.heads)) }
+func (t *Table[V]) bucketOf(h uint64) int { return t.index(h, len(t.heads)) }
 
 // oldHead returns the retired-region bucket for key, with the hash its
 // entries were stored under. Only valid while migrating.
-func (t *table[V]) oldHead(key string) (*int32, uint64) {
+func (t *Table[V]) oldHead(key string) (*int32, uint64) {
 	oh := t.oldHash(key)
 	return &t.old[t.index(oh, len(t.old))], oh
 }
@@ -178,7 +190,7 @@ func slot(n int) int32 {
 
 // alloc stores e in an unlinked slot, reusing erased slots first, and
 // returns the slot.
-func (t *table[V]) alloc(e entry[V]) int32 {
+func (t *Table[V]) alloc(e entry[V]) int32 {
 	if i := t.free; i >= 0 {
 		t.free = t.links[i]
 		t.ents[i] = e
@@ -193,7 +205,7 @@ func (t *table[V]) alloc(e entry[V]) int32 {
 
 // release zeroes slot i, so it pins no key or value, and pushes it on
 // the free list. The caller has already unlinked it.
-func (t *table[V]) release(i int32) {
+func (t *Table[V]) release(i int32) {
 	t.ents[i] = entry[V]{}
 	t.links[i] = t.free
 	t.free = i
@@ -202,7 +214,7 @@ func (t *table[V]) release(i int32) {
 // find walks the chain starting at slot head for key, stored under
 // hash h. It returns the first matching slot, or -1, and the number of
 // entries examined.
-func (t *table[V]) find(head int32, h uint64, key string) (int32, int) {
+func (t *Table[V]) find(head int32, h uint64, key string) (int32, int) {
 	n := 0
 	for i := head; i >= 0; i = t.links[i] {
 		n++
@@ -215,7 +227,7 @@ func (t *table[V]) find(head int32, h uint64, key string) (int32, int) {
 
 // findOld continues a lookup of key in the retired region, adding the
 // entries it examines to probes. Only valid while migrating.
-func (t *table[V]) findOld(key string, probes int) (int32, int) {
+func (t *Table[V]) findOld(key string, probes int) (int32, int) {
 	head, oh := t.oldHead(key)
 	i, n := t.find(*head, oh, key)
 	return i, probes + n
@@ -223,7 +235,7 @@ func (t *table[V]) findOld(key string, probes int) (int32, int) {
 
 // linkTail appends the unlinked slot i to the chain at *head and
 // returns the chain's previous length.
-func (t *table[V]) linkTail(head *int32, i int32) int {
+func (t *Table[V]) linkTail(head *int32, i int32) int {
 	last, n := int32(-1), 0
 	for j := *head; j >= 0; j = t.links[j] {
 		last, n = j, n+1
@@ -241,7 +253,7 @@ func (t *table[V]) linkTail(head *int32, i int32) int {
 // for shard routing, every other caller computes it on entry).
 // Non-multi tables replace an existing mapping and report whether the
 // key was new; multi tables always append.
-func (t *table[V]) put(h uint64, key string, val V) bool {
+func (t *Table[V]) put(h uint64, key string, val V) bool {
 	b := t.bucketOf(h)
 	if !t.multi {
 		i, probes := t.find(t.heads[b], h, key)
@@ -279,7 +291,7 @@ func (t *table[V]) put(h uint64, key string, val V) bool {
 }
 
 // get returns the first value mapped to key (stored under hash h).
-func (t *table[V]) get(h uint64, key string) (V, bool) {
+func (t *Table[V]) get(h uint64, key string) (V, bool) {
 	i, probes := t.find(t.heads[t.bucketOf(h)], h, key)
 	if i < 0 && t.old != nil {
 		i, probes = t.findOld(key, probes)
@@ -297,7 +309,7 @@ func (t *table[V]) get(h uint64, key string) (V, bool) {
 // gather counts the entries for key, stored under hash h, in the chain
 // starting at slot head, appending their values to *out when out is
 // not nil. It returns the matches and the entries examined.
-func (t *table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, probes int) {
+func (t *Table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, probes int) {
 	for i := head; i >= 0; i = t.links[i] {
 		probes++
 		if e := &t.ents[i]; e.hash == h && e.key == key {
@@ -312,7 +324,7 @@ func (t *table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, 
 
 // gatherAll is gather over key's chains in both regions, reported to
 // OnGet as one lookup. It returns the matches.
-func (t *table[V]) gatherAll(h uint64, key string, out *[]V) int {
+func (t *Table[V]) gatherAll(h uint64, key string, out *[]V) int {
 	matches, probes := t.gather(t.heads[t.bucketOf(h)], h, key, out)
 	if t.old != nil {
 		head, oh := t.oldHead(key)
@@ -326,10 +338,10 @@ func (t *table[V]) gatherAll(h uint64, key string, out *[]V) int {
 }
 
 // count returns the number of entries with the given key.
-func (t *table[V]) count(h uint64, key string) int { return t.gatherAll(h, key, nil) }
+func (t *Table[V]) count(h uint64, key string) int { return t.gatherAll(h, key, nil) }
 
 // collect returns every value mapped to key (multimap GetAll).
-func (t *table[V]) collect(h uint64, key string) []V {
+func (t *Table[V]) collect(h uint64, key string) []V {
 	var out []V
 	t.gatherAll(h, key, &out)
 	return out
@@ -338,7 +350,7 @@ func (t *table[V]) collect(h uint64, key string) []V {
 // unlink erases every entry for key, stored under hash h, from the
 // chain at *head, returning entries examined, entries removed, and the
 // bucket-collision delta.
-func (t *table[V]) unlink(head *int32, h uint64, key string) (probes, removed, collDelta int) {
+func (t *Table[V]) unlink(head *int32, h uint64, key string) (probes, removed, collDelta int) {
 	prev := int32(-1)
 	for i := *head; i >= 0; {
 		next := t.links[i]
@@ -361,7 +373,7 @@ func (t *table[V]) unlink(head *int32, h uint64, key string) (probes, removed, c
 
 // del removes all entries with the given key, returning how many were
 // removed (erase(key) semantics of the unordered containers).
-func (t *table[V]) del(h uint64, key string) int {
+func (t *Table[V]) del(h uint64, key string) int {
 	probes, removed, collDelta := t.unlink(&t.heads[t.bucketOf(h)], h, key)
 	if t.old != nil {
 		head, oh := t.oldHead(key)
@@ -383,7 +395,7 @@ func (t *table[V]) del(h uint64, key string) int {
 // chain front to back, would. Prepending in exactly the reverse of that
 // order gives the same chains in O(n): old buckets last to first, each
 // chain reversed in place before it is relinked.
-func (t *table[V]) rehash(n int) {
+func (t *Table[V]) rehash(n int) {
 	old := t.heads
 	t.heads = emptyBuckets(make([]int32, n))
 	for b := len(old) - 1; b >= 0; b-- {
@@ -411,7 +423,7 @@ func (t *table[V]) rehash(n int) {
 
 // reserve grows the table so that n entries fit without rehashing
 // (std::unordered_map::reserve).
-func (t *table[V]) reserve(n int) {
+func (t *Table[V]) reserve(n int) {
 	if n <= len(t.heads) {
 		return
 	}
@@ -422,7 +434,7 @@ func (t *table[V]) reserve(n int) {
 // become the retired region; a fresh region sized for the table's
 // population is indexed by newHash. Entries move over incrementally
 // via drain, so no single operation pays an O(n) rehash.
-func (t *table[V]) rehashInto(newHash hashes.Func) {
+func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	if t.old != nil {
 		// A migration is already in flight: finish it first so the
 		// table never holds three generations of buckets.
@@ -430,6 +442,7 @@ func (t *table[V]) rehashInto(newHash hashes.Func) {
 	}
 	t.oldHash = t.hash
 	t.old = t.heads
+	t.swapped = true
 	t.drainPos = 0
 	t.hash = newHash
 	t.heads = emptyBuckets(make([]int32, nextPrime(max(2*t.size+1, initialBuckets))))
@@ -441,7 +454,7 @@ func (t *table[V]) rehashInto(newHash hashes.Func) {
 // drain relinks up to k retired buckets' entries into the live region,
 // returning true while the migration is still in progress. Each moved
 // entry's hash is recomputed under the new function.
-func (t *table[V]) drain(k int) bool {
+func (t *Table[V]) drain(k int) bool {
 	if t.old == nil {
 		return false
 	}
@@ -477,17 +490,17 @@ func (t *table[V]) drain(k int) bool {
 }
 
 // migrating reports whether a live migration is in progress.
-func (t *table[V]) migrating() bool { return t.old != nil }
+func (t *Table[V]) migrating() bool { return t.old != nil }
 
 // loadFactor returns size/buckets (std::unordered_map::load_factor).
-func (t *table[V]) loadFactor() float64 {
+func (t *Table[V]) loadFactor() float64 {
 	return float64(t.size) / float64(len(t.heads))
 }
 
 // clear removes every entry, keeping the bucket array and the entry
 // storage's capacity. Any in-flight migration ends: the retired region
 // is dropped with the entries.
-func (t *table[V]) clear() {
+func (t *Table[V]) clear() {
 	emptyBuckets(t.heads)
 	clear(t.ents) // so dropped keys and values pin no memory
 	t.ents, t.links, t.free = t.ents[:0], t.links[:0], -1
@@ -502,7 +515,7 @@ func (t *table[V]) clear() {
 // Σ max(0, len(bucket)−1), the paper's B-Coll measurement. Every entry
 // but the first of each chain is one, so it is the entry count less
 // the non-empty buckets of both regions.
-func (t *table[V]) bucketCollisions() int {
+func (t *Table[V]) bucketCollisions() int {
 	n := t.size
 	for _, heads := range [2][]int32{t.heads, t.old} {
 		for _, i := range heads {
@@ -515,7 +528,7 @@ func (t *table[V]) bucketCollisions() int {
 }
 
 // maxBucketLen returns the longest chain, a worst-case probe measure.
-func (t *table[V]) maxBucketLen() int {
+func (t *Table[V]) maxBucketLen() int {
 	m := 0
 	for _, heads := range [2][]int32{t.heads, t.old} {
 		for _, head := range heads {
@@ -529,7 +542,7 @@ func (t *table[V]) maxBucketLen() int {
 	return m
 }
 
-func (t *table[V]) forEach(f func(key string, val V)) {
+func (t *Table[V]) forEach(f func(key string, val V)) {
 	for _, heads := range [2][]int32{t.heads, t.old} {
 		for _, head := range heads {
 			for i := head; i >= 0; i = t.links[i] {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestMapBasics(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	if _, ok := m.Get("missing"); ok {
 		t.Error("empty map must miss")
 	}
@@ -37,7 +37,7 @@ func TestMapBasics(t *testing.T) {
 }
 
 func TestMapManyKeysWithRehash(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("key-%06d", i), i)
@@ -76,7 +76,7 @@ func TestMapManyKeysWithRehash(t *testing.T) {
 // random operation sequence (the model-based test).
 func TestMapMatchesBuiltin(t *testing.T) {
 	f := func(ops []uint16) bool {
-		m := NewMap[int](hashes.FNV, nil)
+		m := NewTable[int](hashes.FNV, nil, false)
 		ref := make(map[string]int)
 		for i, op := range ops {
 			key := fmt.Sprintf("k%d", op%64)
@@ -110,8 +110,8 @@ func TestMapMatchesBuiltin(t *testing.T) {
 }
 
 func TestSetBasics(t *testing.T) {
-	s := NewSet(hashes.City, nil)
-	if !s.Add("x") || s.Add("x") {
+	s := NewTable[struct{}](hashes.City, nil, false)
+	if !s.Put("x", struct{}{}) || s.Put("x", struct{}{}) {
 		t.Error("Add new/dup semantics wrong")
 	}
 	if !s.Search("x") || s.Search("y") {
@@ -123,7 +123,7 @@ func TestSetBasics(t *testing.T) {
 }
 
 func TestMultiMapDuplicates(t *testing.T) {
-	m := NewMultiMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, true)
 	m.Put("k", 1)
 	m.Put("k", 2)
 	m.Put("k", 3)
@@ -151,7 +151,7 @@ func TestMultiMapDuplicates(t *testing.T) {
 }
 
 func TestMultiSetCounts(t *testing.T) {
-	s := NewMultiSet(hashes.STL, nil)
+	s := NewTable[struct{}](hashes.STL, nil, true)
 	for i := 0; i < 5; i++ {
 		s.Insert("dup")
 	}
@@ -164,7 +164,7 @@ func TestMultiSetCounts(t *testing.T) {
 }
 
 func TestMultiMapRehashKeepsDuplicates(t *testing.T) {
-	m := NewMultiMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, true)
 	for i := 0; i < 2000; i++ {
 		m.Put(fmt.Sprintf("k%d", i%100), i)
 	}
@@ -210,7 +210,7 @@ func TestBucketCollisionsCounted(t *testing.T) {
 	// A constant hash forces every key into one bucket: n keys → n−1
 	// bucket collisions and a max chain of n.
 	worst := func(string) uint64 { return 42 }
-	m := NewMap[int](worst, nil)
+	m := NewTable[int](worst, nil, false)
 	const n = 10
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("k%d", i), i)
@@ -253,8 +253,8 @@ func TestLowMixingContainerDegrades(t *testing.T) {
 		}
 		return v
 	}
-	normal := NewMap[int](seq, nil)
-	lowmix := NewMap[int](seq, HighBitsIndexer(48))
+	normal := NewTable[int](seq, nil, false)
+	lowmix := NewTable[int](seq, HighBitsIndexer(48), false)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("%06d", i)
 		normal.Put(key, i)
@@ -270,7 +270,7 @@ func TestLowMixingContainerDegrades(t *testing.T) {
 }
 
 func TestForEachVisitsAll(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	want := map[string]int{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -278,7 +278,7 @@ func TestForEachVisitsAll(t *testing.T) {
 		want[k] = i
 	}
 	got := map[string]int{}
-	m.ForEach(func(k string, v int) { got[k] = v })
+	m.forEach(func(k string, v int) { got[k] = v })
 	if len(got) != len(want) {
 		t.Fatalf("visited %d entries, want %d", len(got), len(want))
 	}
@@ -320,7 +320,7 @@ func BenchmarkMapInsertSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewMap[int](hashes.STL, nil)
+		m := NewTable[int](hashes.STL, nil, false)
 		for j, k := range keysList {
 			m.Put(k, j)
 		}
@@ -337,7 +337,7 @@ func BenchmarkMapInsertSearch(b *testing.B) {
 }
 
 func TestReserveAvoidsRehash(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	m.Reserve(5000)
 	before := m.Stats().Buckets
 	if before < 5000 || !isPrime(before) {
@@ -357,7 +357,7 @@ func TestReserveAvoidsRehash(t *testing.T) {
 }
 
 func TestLoadFactorAndClear(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	if m.LoadFactor() != 0 {
 		t.Error("empty load factor must be 0")
 	}
@@ -383,7 +383,7 @@ func TestLoadFactorAndClear(t *testing.T) {
 }
 
 func TestSetReserveClear(t *testing.T) {
-	s := NewSet(hashes.STL, nil)
+	s := NewTable[struct{}](hashes.STL, nil, false)
 	s.Reserve(1000)
 	for i := 0; i < 1000; i++ {
 		s.Insert(fmt.Sprintf("m%d", i))

@@ -55,279 +55,54 @@ type Container interface {
 }
 
 // New builds a container of the given kind over a hash function; a nil
-// indexer selects the libstdc++ modulo policy.
+// indexer selects the libstdc++ modulo policy. Maps carry int values,
+// sets carry none.
 func New(k Kind, hash hashes.Func, index Indexer) Container {
 	switch k {
 	case MapKind:
-		return NewMap[int](hash, index)
+		return NewTable[int](hash, index, false)
 	case SetKind:
-		return NewSet(hash, index)
+		return NewTable[struct{}](hash, index, false)
 	case MultiMapKind:
-		return NewMultiMap[int](hash, index)
+		return NewTable[int](hash, index, true)
 	case MultiSetKind:
-		return NewMultiSet(hash, index)
+		return NewTable[struct{}](hash, index, true)
 	default:
 		panic("container: unknown kind")
 	}
 }
 
-// Map is the std::unordered_map equivalent.
-type Map[V any] struct{ t *table[V] }
+// Put maps key to val and reports whether the key was new. A multi
+// table always appends a duplicate; any other table replaces an
+// existing mapping.
+func (t *Table[V]) Put(key string, val V) bool { return t.put(t.hash(key), key, val) }
 
-// NewMap returns an empty map using the given hash and indexer.
-func NewMap[V any](hash hashes.Func, index Indexer) *Map[V] {
-	return &Map[V]{t: newTable[V](hash, index, false)}
-}
+// Get returns the first value mapped to key.
+func (t *Table[V]) Get(key string) (V, bool) { return t.get(t.hash(key), key) }
 
-// Put maps key to val, replacing any existing mapping; it reports
-// whether the key was new.
-func (m *Map[V]) Put(key string, val V) bool { return m.t.put(m.t.hash(key), key, val) }
-
-// Get returns the value mapped to key.
-func (m *Map[V]) Get(key string) (V, bool) { return m.t.get(m.t.hash(key), key) }
-
-// Delete removes the mapping, reporting how many entries went away.
-func (m *Map[V]) Delete(key string) int { return m.t.del(m.t.hash(key), key) }
-
-// Len returns the number of entries.
-func (m *Map[V]) Len() int { return m.t.size }
-
-// ForEach visits every entry in unspecified order.
-func (m *Map[V]) ForEach(f func(key string, val V)) { m.t.forEach(f) }
-
-// Stats returns bucket measurements.
-func (m *Map[V]) Stats() Stats { return stats(m.t) }
-
-// Reserve pre-sizes the table for n entries.
-func (m *Map[V]) Reserve(n int) { m.t.reserve(n) }
-
-// LoadFactor returns entries per bucket.
-func (m *Map[V]) LoadFactor() float64 { return m.t.loadFactor() }
-
-// Clear removes every entry, keeping the bucket array.
-func (m *Map[V]) Clear() { m.t.clear() }
-
-// SetHooks installs (or, with nil, removes) observation hooks.
-func (m *Map[V]) SetHooks(h *Hooks) { m.t.hooks = h }
-
-// BeginMigration starts an incremental re-bucket of the map under a
-// new hash function. Entries move over in MigrateStep batches, so no
-// single operation pays a stop-the-world rehash; lookups and erases
-// consult both regions until the migration drains.
-func (m *Map[V]) BeginMigration(newHash hashes.Func) { m.t.rehashInto(newHash) }
-
-// MigrateStep drains up to k retired buckets, returning true while
-// the migration is still in progress.
-func (m *Map[V]) MigrateStep(k int) bool { return m.t.drain(k) }
-
-// Migrating reports whether an incremental migration is in progress.
-func (m *Map[V]) Migrating() bool { return m.t.migrating() }
-
-// Insert implements Container with a zero value.
-func (m *Map[V]) Insert(key string) { var zero V; m.t.put(m.t.hash(key), key, zero) }
-
-// Search implements Container.
-func (m *Map[V]) Search(key string) bool { _, ok := m.t.get(m.t.hash(key), key); return ok }
-
-// Erase implements Container.
-func (m *Map[V]) Erase(key string) int { return m.t.del(m.t.hash(key), key) }
-
-// Set is the std::unordered_set equivalent.
-type Set struct{ t *table[struct{}] }
-
-// NewSet returns an empty set.
-func NewSet(hash hashes.Func, index Indexer) *Set {
-	return &Set{t: newTable[struct{}](hash, index, false)}
-}
-
-// Insert adds key.
-func (s *Set) Insert(key string) { s.t.put(s.t.hash(key), key, struct{}{}) }
-
-// Add adds key, reporting whether it was new.
-func (s *Set) Add(key string) bool { return s.t.put(s.t.hash(key), key, struct{}{}) }
-
-// Search reports membership.
-func (s *Set) Search(key string) bool { _, ok := s.t.get(s.t.hash(key), key); return ok }
-
-// Erase removes key.
-func (s *Set) Erase(key string) int { return s.t.del(s.t.hash(key), key) }
-
-// Len returns the number of members.
-func (s *Set) Len() int { return s.t.size }
-
-// Stats returns bucket measurements.
-func (s *Set) Stats() Stats { return stats(s.t) }
-
-// Reserve pre-sizes the table for n members.
-func (s *Set) Reserve(n int) { s.t.reserve(n) }
-
-// LoadFactor returns members per bucket.
-func (s *Set) LoadFactor() float64 { return s.t.loadFactor() }
-
-// Clear removes every member, keeping the bucket array.
-func (s *Set) Clear() { s.t.clear() }
-
-// SetHooks installs (or, with nil, removes) observation hooks.
-func (s *Set) SetHooks(h *Hooks) { s.t.hooks = h }
-
-// BeginMigration starts an incremental re-bucket under a new hash.
-func (s *Set) BeginMigration(newHash hashes.Func) { s.t.rehashInto(newHash) }
-
-// MigrateStep drains up to k retired buckets, returning true while
-// the migration is still in progress.
-func (s *Set) MigrateStep(k int) bool { return s.t.drain(k) }
-
-// Migrating reports whether an incremental migration is in progress.
-func (s *Set) Migrating() bool { return s.t.migrating() }
-
-// MultiMap is the std::unordered_multimap equivalent: one key may map
-// to several values.
-type MultiMap[V any] struct{ t *table[V] }
-
-// NewMultiMap returns an empty multimap.
-func NewMultiMap[V any](hash hashes.Func, index Indexer) *MultiMap[V] {
-	return &MultiMap[V]{t: newTable[V](hash, index, true)}
-}
-
-// Put adds one key→val entry (duplicates allowed).
-func (m *MultiMap[V]) Put(key string, val V) { m.t.put(m.t.hash(key), key, val) }
-
-// GetAll returns every value mapped to key.
-func (m *MultiMap[V]) GetAll(key string) []V { return m.t.collect(m.t.hash(key), key) }
+// Delete removes every entry for key, reporting how many went away.
+func (t *Table[V]) Delete(key string) int { return t.del(t.hash(key), key) }
 
 // Count returns the number of entries for key.
-func (m *MultiMap[V]) Count(key string) int { return m.t.count(m.t.hash(key), key) }
+func (t *Table[V]) Count(key string) int { return t.count(t.hash(key), key) }
 
-// Delete removes all entries for key.
-func (m *MultiMap[V]) Delete(key string) int { return m.t.del(m.t.hash(key), key) }
+// GetAll returns every value mapped to key, in insertion order.
+func (t *Table[V]) GetAll(key string) []V { return t.collect(t.hash(key), key) }
 
-// Len returns the total entry count.
-func (m *MultiMap[V]) Len() int { return m.t.size }
-
-// Stats returns bucket measurements.
-func (m *MultiMap[V]) Stats() Stats { return stats(m.t) }
-
-// Clear removes every entry, keeping the bucket array.
-func (m *MultiMap[V]) Clear() { m.t.clear() }
-
-// SetHooks installs (or, with nil, removes) observation hooks.
-func (m *MultiMap[V]) SetHooks(h *Hooks) { m.t.hooks = h }
-
-// BeginMigration starts an incremental re-bucket under a new hash.
-func (m *MultiMap[V]) BeginMigration(newHash hashes.Func) { m.t.rehashInto(newHash) }
-
-// MigrateStep drains up to k retired buckets, returning true while
-// the migration is still in progress.
-func (m *MultiMap[V]) MigrateStep(k int) bool { return m.t.drain(k) }
-
-// Migrating reports whether an incremental migration is in progress.
-func (m *MultiMap[V]) Migrating() bool { return m.t.migrating() }
-
-// Insert implements Container.
-func (m *MultiMap[V]) Insert(key string) { var zero V; m.t.put(m.t.hash(key), key, zero) }
+// Insert implements Container with a zero value.
+func (t *Table[V]) Insert(key string) { var zero V; t.Put(key, zero) }
 
 // Search implements Container.
-func (m *MultiMap[V]) Search(key string) bool { _, ok := m.t.get(m.t.hash(key), key); return ok }
+func (t *Table[V]) Search(key string) bool { _, ok := t.Get(key); return ok }
 
 // Erase implements Container.
-func (m *MultiMap[V]) Erase(key string) int { return m.t.del(m.t.hash(key), key) }
+func (t *Table[V]) Erase(key string) int { return t.Delete(key) }
 
-// MultiSet is the std::unordered_multiset equivalent.
-type MultiSet struct{ t *table[struct{}] }
+// Len returns the number of entries.
+func (t *Table[V]) Len() int { return t.size }
 
-// NewMultiSet returns an empty multiset.
-func NewMultiSet(hash hashes.Func, index Indexer) *MultiSet {
-	return &MultiSet{t: newTable[struct{}](hash, index, true)}
-}
-
-// Insert adds one occurrence of key.
-func (s *MultiSet) Insert(key string) { s.t.put(s.t.hash(key), key, struct{}{}) }
-
-// Count returns the number of occurrences of key.
-func (s *MultiSet) Count(key string) int { return s.t.count(s.t.hash(key), key) }
-
-// Search reports whether key occurs at least once.
-func (s *MultiSet) Search(key string) bool { _, ok := s.t.get(s.t.hash(key), key); return ok }
-
-// Erase removes all occurrences of key.
-func (s *MultiSet) Erase(key string) int { return s.t.del(s.t.hash(key), key) }
-
-// Len returns the total occurrence count.
-func (s *MultiSet) Len() int { return s.t.size }
-
-// Stats returns bucket measurements.
-func (s *MultiSet) Stats() Stats { return stats(s.t) }
-
-// Clear removes every occurrence, keeping the bucket array.
-func (s *MultiSet) Clear() { s.t.clear() }
-
-// SetHooks installs (or, with nil, removes) observation hooks.
-func (s *MultiSet) SetHooks(h *Hooks) { s.t.hooks = h }
-
-// BeginMigration starts an incremental re-bucket under a new hash.
-func (s *MultiSet) BeginMigration(newHash hashes.Func) { s.t.rehashInto(newHash) }
-
-// MigrateStep drains up to k retired buckets, returning true while
-// the migration is still in progress.
-func (s *MultiSet) MigrateStep(k int) bool { return s.t.drain(k) }
-
-// Migrating reports whether an incremental migration is in progress.
-func (s *MultiSet) Migrating() bool { return s.t.migrating() }
-
-// Precomputed-hash entry points. The sharded layer routes a key to a
-// shard with the top bits of its hash and must not pay for hashing
-// twice, so each container exposes its operations with the hash
-// supplied by the caller. The contract is strict: h must equal the
-// value the container's own hash function returns for key — the
-// chains compare stored hashes before keys, and the bucket index is
-// derived from h. Passing any other value silently corrupts lookups.
-// Hashed entry points must not be mixed with BeginMigration: once the
-// table's hash function changes, only the plain methods know the
-// current function.
-
-// PutHashed is Put with the key's hash precomputed by the caller.
-func (m *Map[V]) PutHashed(h uint64, key string, val V) bool { return m.t.put(h, key, val) }
-
-// GetHashed is Get with the key's hash precomputed by the caller.
-func (m *Map[V]) GetHashed(h uint64, key string) (V, bool) { return m.t.get(h, key) }
-
-// DeleteHashed is Delete with the key's hash precomputed by the caller.
-func (m *Map[V]) DeleteHashed(h uint64, key string) int { return m.t.del(h, key) }
-
-// AddHashed is Add with the key's hash precomputed by the caller.
-func (s *Set) AddHashed(h uint64, key string) bool { return s.t.put(h, key, struct{}{}) }
-
-// SearchHashed is Search with the key's hash precomputed by the caller.
-func (s *Set) SearchHashed(h uint64, key string) bool { _, ok := s.t.get(h, key); return ok }
-
-// EraseHashed is Erase with the key's hash precomputed by the caller.
-func (s *Set) EraseHashed(h uint64, key string) int { return s.t.del(h, key) }
-
-// PutHashed is Put with the key's hash precomputed by the caller.
-func (m *MultiMap[V]) PutHashed(h uint64, key string, val V) { m.t.put(h, key, val) }
-
-// GetAllHashed is GetAll with the key's hash precomputed by the caller.
-func (m *MultiMap[V]) GetAllHashed(h uint64, key string) []V { return m.t.collect(h, key) }
-
-// CountHashed is Count with the key's hash precomputed by the caller.
-func (m *MultiMap[V]) CountHashed(h uint64, key string) int { return m.t.count(h, key) }
-
-// DeleteHashed is Delete with the key's hash precomputed by the caller.
-func (m *MultiMap[V]) DeleteHashed(h uint64, key string) int { return m.t.del(h, key) }
-
-// InsertHashed is Insert with the key's hash precomputed by the caller.
-func (s *MultiSet) InsertHashed(h uint64, key string) { s.t.put(h, key, struct{}{}) }
-
-// CountHashed is Count with the key's hash precomputed by the caller.
-func (s *MultiSet) CountHashed(h uint64, key string) int { return s.t.count(h, key) }
-
-// SearchHashed is Search with the key's hash precomputed by the caller.
-func (s *MultiSet) SearchHashed(h uint64, key string) bool { _, ok := s.t.get(h, key); return ok }
-
-// EraseHashed is Erase with the key's hash precomputed by the caller.
-func (s *MultiSet) EraseHashed(h uint64, key string) int { return s.t.del(h, key) }
-
-func stats[V any](t *table[V]) Stats {
+// Stats returns bucket measurements over both regions of a migration.
+func (t *Table[V]) Stats() Stats {
 	return Stats{
 		Size:             t.size,
 		Buckets:          len(t.heads),
@@ -335,3 +110,74 @@ func stats[V any](t *table[V]) Stats {
 		MaxBucketLen:     t.maxBucketLen(),
 	}
 }
+
+// Reserve pre-sizes the table for n entries.
+func (t *Table[V]) Reserve(n int) { t.reserve(n) }
+
+// LoadFactor returns entries per bucket.
+func (t *Table[V]) LoadFactor() float64 { return t.loadFactor() }
+
+// Clear removes every entry, keeping the bucket array.
+func (t *Table[V]) Clear() { t.clear() }
+
+// SetHooks installs (or, with nil, removes) observation hooks.
+func (t *Table[V]) SetHooks(h *Hooks) { t.hooks = h }
+
+// Snapshot appends every entry to keys and vals, in iteration order,
+// and returns the extended slices. Callers iterate the copy, so their
+// callbacks may mutate the table.
+func (t *Table[V]) Snapshot(keys []string, vals []V) ([]string, []V) {
+	t.forEach(func(k string, v V) {
+		keys = append(keys, k)
+		vals = append(vals, v)
+	})
+	return keys, vals
+}
+
+// BeginMigration starts an incremental re-bucket under a new hash
+// function. Entries move over in MigrateStep batches, so no single
+// operation pays a stop-the-world rehash; lookups and erases consult
+// both regions until the migration drains.
+func (t *Table[V]) BeginMigration(newHash hashes.Func) { t.rehashInto(newHash) }
+
+// MigrateStep drains up to k retired buckets, returning true while
+// the migration is still in progress.
+func (t *Table[V]) MigrateStep(k int) bool { return t.drain(k) }
+
+// Migrating reports whether an incremental migration is in progress.
+func (t *Table[V]) Migrating() bool { return t.migrating() }
+
+// Hashed entry points. They take the key's hash under the table's
+// current function, so a caller that already holds it does not hash
+// twice: the sharded layer, which routes with the hash, and the
+// single-owner fast path. The chains compare stored hashes before
+// keys and the bucket comes from h, so h must be Hash(key) — or
+// CurrentHash of the creation-time hash.
+
+// Hash returns key's hash under the table's current function.
+func (t *Table[V]) Hash(key string) uint64 { return t.hash(key) }
+
+// CurrentHash returns key's hash under the table's current function,
+// given h, its hash under the function the table was created with.
+// Until a migration swaps the function that is h itself.
+func (t *Table[V]) CurrentHash(h uint64, key string) uint64 {
+	if t.swapped {
+		return t.hash(key)
+	}
+	return h
+}
+
+// PutHashed is Put with key's current hash precomputed.
+func (t *Table[V]) PutHashed(h uint64, key string, val V) bool { return t.put(h, key, val) }
+
+// GetHashed is Get with key's current hash precomputed.
+func (t *Table[V]) GetHashed(h uint64, key string) (V, bool) { return t.get(h, key) }
+
+// DeleteHashed is Delete with key's current hash precomputed.
+func (t *Table[V]) DeleteHashed(h uint64, key string) int { return t.del(h, key) }
+
+// CountHashed is Count with key's current hash precomputed.
+func (t *Table[V]) CountHashed(h uint64, key string) int { return t.count(h, key) }
+
+// GetAllHashed is GetAll with key's current hash precomputed.
+func (t *Table[V]) GetAllHashed(h uint64, key string) []V { return t.collect(h, key) }

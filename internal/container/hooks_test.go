@@ -49,7 +49,7 @@ func (r *hookRecorder) hooks() *Hooks {
 // B-Coll against Stats' authoritative recount at every step.
 func TestHooksTrackBucketCollisions(t *testing.T) {
 	rec := &hookRecorder{}
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	m.SetHooks(rec.hooks())
 
 	check := func(stage string) {
@@ -91,7 +91,7 @@ func TestHooksTrackBucketCollisions(t *testing.T) {
 // without inventing a collision.
 func TestHooksReplacePath(t *testing.T) {
 	rec := &hookRecorder{}
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	m.SetHooks(rec.hooks())
 	m.Put("a", 1)
 	before := rec.bcoll
@@ -111,7 +111,7 @@ func TestHooksReplacePath(t *testing.T) {
 // share a bucket, so each duplicate insert is a collision delta.
 func TestHooksMultiContainers(t *testing.T) {
 	rec := &hookRecorder{}
-	mm := NewMultiMap[int](hashes.STL, nil)
+	mm := NewTable[int](hashes.STL, nil, true)
 	mm.SetHooks(rec.hooks())
 	for i := 0; i < 4; i++ {
 		mm.Put("dup", i)
@@ -130,7 +130,7 @@ func TestHooksMultiContainers(t *testing.T) {
 		t.Fatalf("after Clear: len=%d bcoll=%d", mm.Len(), rec.bcoll)
 	}
 
-	ms := NewMultiSet(hashes.STL, nil)
+	ms := NewTable[struct{}](hashes.STL, nil, true)
 	rec2 := &hookRecorder{}
 	ms.SetHooks(rec2.hooks())
 	ms.Insert("x")
@@ -148,10 +148,10 @@ func TestHooksMultiContainers(t *testing.T) {
 // exact recount.
 func TestHooksReserveRehash(t *testing.T) {
 	rec := &hookRecorder{}
-	s := NewSet(hashes.STL, nil)
+	s := NewTable[struct{}](hashes.STL, nil, false)
 	s.SetHooks(rec.hooks())
 	for i := 0; i < 10; i++ {
-		s.Add(fmt.Sprintf("k%d", i))
+		s.Put(fmt.Sprintf("k%d", i), struct{}{})
 	}
 	s.Reserve(1000)
 	if rec.rehashes == 0 {
@@ -166,7 +166,7 @@ func TestHooksReserveRehash(t *testing.T) {
 // nothing per operation beyond the table's own storage, including
 // re-inserts that reuse erased slots and refills after Clear.
 func TestNilHooksZeroAlloc(t *testing.T) {
-	m := NewMap[int](hashes.STL, nil)
+	m := NewTable[int](hashes.STL, nil, false)
 	m.Reserve(1024)
 	keys := make([]string, 512)
 	for i := range keys {
@@ -211,7 +211,7 @@ func TestNilHooksZeroAlloc(t *testing.T) {
 // entries they relink.
 func TestRehashAllocsIndependentOfSize(t *testing.T) {
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
-		tab := newTable[int](hashes.STL, nil, false)
+		tab := NewTable[int](hashes.STL, nil, false)
 		for i := 0; i < n; i++ {
 			k := migKey(i)
 			tab.put(tab.hash(k), k, i)
@@ -237,7 +237,7 @@ func TestRehashAllocsIndependentOfSize(t *testing.T) {
 // holds no key or value, and inserts fill erased slots before growing
 // the entry array.
 func TestErasedSlotsZeroedAndReused(t *testing.T) {
-	tab := newTable[int](hashes.STL, nil, false)
+	tab := NewTable[int](hashes.STL, nil, false)
 	for i := 0; i < 100; i++ {
 		k := migKey(i)
 		tab.put(tab.hash(k), k, i+1)

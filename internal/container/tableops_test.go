@@ -77,7 +77,7 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 	if tape[0]&0x80 != 0 {
 		index = HighBitsIndexer(8)
 	}
-	got, want := newTable[V](hash, index, multi), newRefTable[V](hash, index, multi)
+	got, want := NewTable[V](hash, index, multi), newRefTable[V](hash, index, multi)
 	var gotLog, wantLog eventLog
 	got.hooks, want.hooks = gotLog.hooks(), wantLog.hooks()
 
@@ -136,7 +136,7 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 			t.Fatalf("%s step %d %s: hooks\n got %+v\nwant %+v", kind, step, desc, gotLog, wantLog)
 		}
 		gotLog, wantLog = gotLog[:0], wantLog[:0]
-		if gs, ws := stats(got), refStats(want); gs != ws {
+		if gs, ws := got.Stats(), refStats(want); gs != ws {
 			t.Fatalf("%s step %d %s: Stats = %+v, oracle %+v", kind, step, desc, gs, ws)
 		}
 		if got.migrating() != want.migrating() || got.loadFactor() != want.loadFactor() {

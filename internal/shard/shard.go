@@ -1,8 +1,10 @@
-// Package shard implements lock-striped concurrent variants of the
-// four hash containers. A sharded container splits its keys over a
-// power-of-two number of independent chained-bucket tables, each
-// guarded by its own RWMutex, so writers on different shards never
-// contend and readers proceed in parallel within a shard.
+// Package shard implements the lock-striped router behind every
+// sharded container: one generic Table splits its keys over a
+// power-of-two number of independent container.Tables, each guarded
+// by its own RWMutex, so writers on different shards never contend
+// and readers proceed in parallel within a shard. The multi flag of
+// the underlying tables selects the container kind, so the four kinds
+// share this one router.
 //
 // Shard selection uses the TOP bits of the specialized hash:
 //
@@ -22,12 +24,14 @@
 //
 // The hash is computed once per operation, outside any lock, and
 // handed to the shard's table through the container package's
-// *Hashed entry points. The batch operations (PutBatch, GetBatch,
-// ...) additionally group keys by shard with one counting sort and
-// take each shard's lock once per batch instead of once per key.
+// *Hashed entry points. After a migration swaps a table's function,
+// its CurrentHash recomputes the probing hash under the shard lock,
+// while routing keeps using the creation-time hash. The batch operations (PutBatch,
+// GetBatch) additionally group keys by shard with one counting sort
+// and take each shard's lock once per batch instead of once per key.
 //
 // Lock ordering: no operation holds more than one shard lock at a
-// time. Whole-container operations (Len, Stats, Clear, ForEach,
+// time. Whole-container operations (Len, Stats, Clear, migration,
 // batches) visit shards in ascending index, releasing each lock
 // before taking the next, so they compose without deadlock — at the
 // cost of not being atomic snapshots across shards.
@@ -36,26 +40,13 @@ package shard
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/hashes"
 )
 
-// Option configures a sharded container.
-type Option func(*config)
-
-type config struct {
-	shards int
-}
-
-// WithShards fixes the shard count. Values are rounded up to a power
-// of two; n < 1 selects the GOMAXPROCS-based default.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
-// maxShards bounds the automatic sizing; WithShards may exceed it.
+// maxShards bounds the automatic sizing; an explicit count may exceed
+// it.
 const maxShards = 512
 
 // defaultShards sizes the stripe from GOMAXPROCS: four stripes per
@@ -81,15 +72,13 @@ func nextPow2(n int) int {
 	return p
 }
 
-func resolveShards(opts []Option) int {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.shards < 1 {
+// shardCount resolves a requested shard count: n < 1 selects the
+// GOMAXPROCS-based default, anything else rounds up to a power of two.
+func shardCount(n int) int {
+	if n < 1 {
 		return defaultShards()
 	}
-	return nextPow2(c.shards)
+	return nextPow2(n)
 }
 
 // shardLock is one stripe's RWMutex, padded to a cache line so
@@ -101,32 +90,6 @@ type shardLock struct {
 	_ [40]byte
 }
 
-// core is the bookkeeping shared by the four sharded shapes: the
-// routing hash, the stripe of locks, and the migration state. The
-// typed wrappers hold the parallel slice of per-shard tables; index i
-// of that slice is guarded by locks[i].
-type core struct {
-	router hashes.Func
-	shift  uint
-	locks  []shardLock
-
-	// hashed is true while every shard's table still hashes with
-	// router, so the *Hashed fast path may reuse the routing hash for
-	// probing. The first BeginMigration clears it permanently: after a
-	// hash swap only the tables know their current function.
-	hashed atomic.Bool
-
-	// cursor round-robins MigrateStep over the shards.
-	cursor atomic.Uint64
-}
-
-func (c *core) init(router hashes.Func, n int) {
-	c.router = router
-	c.shift = uint(64 - log2(n))
-	c.locks = make([]shardLock, n)
-	c.hashed.Store(true)
-}
-
 func log2(n int) int {
 	l := 0
 	for 1<<l < n {
@@ -135,27 +98,33 @@ func log2(n int) int {
 	return l
 }
 
+// router maps keys to shards by the top bits of their hash.
+type router struct {
+	hash  hashes.Func
+	shift uint
+}
+
+func newRouter(hash hashes.Func, shards int) router {
+	return router{hash: hash, shift: uint(64 - log2(shards))}
+}
+
 // shardOf routes a hash to its shard by the top bits. For a single
 // shard shift is 64 and the expression is constant zero (Go defines
 // over-wide shifts as 0, unlike C).
 //
 //sepe:noalloc inline
-func (c *core) shardOf(h uint64) int { return int(h >> c.shift) }
-
-// Shards returns the shard count.
-func (c *core) Shards() int { return len(c.locks) }
+func (r *router) shardOf(h uint64) int { return int(h >> r.shift) }
 
 // group computes each key's routing hash into hs and builds a
 // permutation ordering the keys by shard: order holds indices into
 // keys, and keys order[start[s]:start[s+1]] belong to shard s. One
-// counting sort — no per-shard slice allocations.
-func (c *core) group(keys []string, hs []uint64) (order []int32, start []int32) {
-	n := len(c.locks)
+// counting sort over n shards — no per-shard slice allocations.
+func (r *router) group(keys []string, hs []uint64, n int) (order []int32, start []int32) {
 	start = make([]int32, n+1)
 	for i, k := range keys {
-		h := c.router(k)
+		h := r.hash(k)
 		hs[i] = h
-		start[c.shardOf(h)+1]++
+		start[r.shardOf(h)+1]++
 	}
 	for s := 0; s < n; s++ {
 		start[s+1] += start[s]
@@ -164,7 +133,7 @@ func (c *core) group(keys []string, hs []uint64) (order []int32, start []int32) 
 	fill := make([]int32, n)
 	copy(fill, start[:n])
 	for i := range keys {
-		s := c.shardOf(hs[i])
+		s := r.shardOf(hs[i])
 		order[fill[s]] = int32(i)
 		fill[s]++
 	}

@@ -14,15 +14,15 @@ func TestShardOptions(t *testing.T) {
 		{1, 1}, {2, 2}, {3, 4}, {8, 8}, {9, 16}, {1000, 1024},
 	}
 	for _, c := range cases {
-		if got := resolveShards([]Option{WithShards(c.in)}); got != c.want {
-			t.Errorf("WithShards(%d): got %d shards, want %d", c.in, got, c.want)
+		if got := NewTable[int](hashes.STL, false, c.in).Shards(); got != c.want {
+			t.Errorf("NewTable(%d shards): got %d shards, want %d", c.in, got, c.want)
 		}
 	}
-	if n := resolveShards(nil); n&(n-1) != 0 || n < 8 {
+	if n := shardCount(0); n&(n-1) != 0 || n < 8 || n != defaultShards() {
 		t.Errorf("default shard count %d: want power of two >= 8", n)
 	}
-	if n := resolveShards([]Option{WithShards(0)}); n != resolveShards(nil) {
-		t.Errorf("WithShards(0) = %d, want default %d", n, resolveShards(nil))
+	if n := shardCount(-3); n != defaultShards() {
+		t.Errorf("shardCount(-3) = %d, want default %d", n, defaultShards())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestShardOptions(t *testing.T) {
 // the shard its hash's high bits name, and a single-shard container
 // (shift 64) must route everything to shard 0.
 func TestShardRouting(t *testing.T) {
-	m := NewMap[int](hashes.STL, WithShards(16))
+	m := NewTable[int](hashes.STL, false, 16)
 	if m.Shards() != 16 {
 		t.Fatalf("Shards() = %d, want 16", m.Shards())
 	}
@@ -42,7 +42,7 @@ func TestShardRouting(t *testing.T) {
 			t.Fatalf("shardOf(%q) = %d, want %d (top 4 bits)", k, got, want)
 		}
 	}
-	one := NewMap[int](hashes.STL, WithShards(1))
+	one := NewTable[int](hashes.STL, false, 1)
 	for i := 0; i < 100; i++ {
 		if s := one.shardOf(hashes.STL(fmt.Sprintf("k%d", i))); s != 0 {
 			t.Fatalf("single-shard shardOf = %d, want 0", s)
@@ -71,8 +71,8 @@ func TestMergeStats(t *testing.T) {
 // merge: with one shard, the merged view must equal a plain container
 // fed the identical operations.
 func TestMergeStatsSingleShard(t *testing.T) {
-	sharded := NewMap[int](hashes.STL, WithShards(1))
-	plain := container.NewMap[int](hashes.STL, nil)
+	sharded := NewTable[int](hashes.STL, false, 1)
+	plain := container.NewTable[int](hashes.STL, nil, false)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%03d", i)
 		sharded.Put(k, i)
@@ -98,9 +98,9 @@ func TestBatchMatchesLoop(t *testing.T) {
 		keys[i] = fmt.Sprintf("batch-%03d", i)
 		vals[i] = i * 7
 	}
-	batch := NewMap[int](hashes.STL, WithShards(8))
+	batch := NewTable[int](hashes.STL, false, 8)
 	batch.PutBatch(keys, vals)
-	loop := NewMap[int](hashes.STL, WithShards(8))
+	loop := NewTable[int](hashes.STL, false, 8)
 	for i, k := range keys {
 		loop.Put(k, vals[i])
 	}
@@ -136,20 +136,20 @@ func TestSetBatch(t *testing.T) {
 	for i := range keys {
 		keys[i] = fmt.Sprintf("s-%03d", i)
 	}
-	s := NewSet(hashes.STL, WithShards(4))
-	s.AddBatch(keys)
+	s := NewTable[struct{}](hashes.STL, false, 4)
+	s.PutBatch(keys, make([]struct{}, len(keys)))
 	if s.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(keys))
 	}
 	probe := append([]string{"missing"}, keys[10:20]...)
 	found := make([]bool, len(probe))
-	s.SearchBatch(probe, found)
+	s.GetBatch(probe, make([]struct{}, len(probe)), found)
 	if found[0] {
-		t.Errorf("SearchBatch found a missing key")
+		t.Errorf("GetBatch found a missing key")
 	}
 	for i := 1; i < len(probe); i++ {
 		if !found[i] {
-			t.Errorf("SearchBatch missed member %q", probe[i])
+			t.Errorf("GetBatch missed member %q", probe[i])
 		}
 	}
 }
@@ -166,7 +166,7 @@ func TestShardedMapParallel(t *testing.T) {
 		readers = 3
 		perG    = 600
 	)
-	m := NewMap[int](hashes.STL, WithShards(8))
+	m := NewTable[int](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -218,16 +218,21 @@ func TestShardedMapParallel(t *testing.T) {
 			t.Fatalf("final Get(%q) = (%d,%v), oracle %d", k, v, ok, want)
 		}
 	}
-	m.ForEach(func(k string, v int) {
-		if want, ok := oracle[k]; !ok || v != want {
-			t.Errorf("ForEach visited %q=%d not in oracle", k, v)
+	var keys []string
+	var vals []int
+	for i := 0; i < m.Shards(); i++ {
+		keys, vals = m.Snapshot(i, keys, vals)
+	}
+	for i, k := range keys {
+		if want, ok := oracle[k]; !ok || vals[i] != want {
+			t.Errorf("Snapshot holds %q=%d not in oracle", k, vals[i])
 		}
-	})
+	}
 }
 
 func TestShardedSetParallel(t *testing.T) {
 	const gs, perG = 6, 500
-	s := NewSet(hashes.STL, WithShards(8))
+	s := NewTable[struct{}](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -235,10 +240,10 @@ func TestShardedSetParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := fmt.Sprintf("g%d-%04d", g, i)
-				s.Add(k)
-				s.Search(k)
+				s.Put(k, struct{}{})
+				s.Get(k)
 				if i%4 == 0 {
-					s.Erase(k)
+					s.Delete(k)
 				}
 			}
 		}(g)
@@ -258,7 +263,7 @@ func TestShardedSetParallel(t *testing.T) {
 		t.Fatalf("final Len = %d, oracle has %d", s.Len(), len(oracle))
 	}
 	for k := range oracle {
-		if !s.Search(k) {
+		if _, ok := s.Get(k); !ok {
 			t.Fatalf("member %q missing", k)
 		}
 	}
@@ -266,7 +271,7 @@ func TestShardedSetParallel(t *testing.T) {
 
 func TestShardedMultiMapParallel(t *testing.T) {
 	const gs, perG = 4, 400
-	m := NewMultiMap[int](hashes.STL, WithShards(8))
+	m := NewTable[int](hashes.STL, true, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -310,7 +315,7 @@ func TestShardedMultiMapParallel(t *testing.T) {
 
 func TestShardedMultiSetParallel(t *testing.T) {
 	const gs, perG = 4, 400
-	s := NewMultiSet(hashes.STL, WithShards(8))
+	s := NewTable[struct{}](hashes.STL, true, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -318,10 +323,10 @@ func TestShardedMultiSetParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := fmt.Sprintf("g%d-%03d", g, i%40)
-				s.Insert(k)
-				s.Search(k)
+				s.Put(k, struct{}{})
+				s.Count(k)
 				if i%9 == 0 {
-					s.Erase(k)
+					s.Delete(k)
 				}
 			}
 		}(g)
@@ -354,7 +359,7 @@ func TestShardedMultiSetParallel(t *testing.T) {
 // contention.
 func TestShardedBatchParallel(t *testing.T) {
 	const gs, batch = 4, 128
-	m := NewMap[int](hashes.STL, WithShards(8))
+	m := NewTable[int](hashes.STL, false, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
 		wg.Add(1)
@@ -390,7 +395,7 @@ func TestShardedBatchParallel(t *testing.T) {
 // must remain reachable during and after the per-shard incremental
 // drains, under concurrent readers.
 func TestShardedMigration(t *testing.T) {
-	m := NewMap[int](hashes.STL, WithShards(4))
+	m := NewTable[int](hashes.STL, false, 4)
 	const n = 800
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("key-%04d", i), i)
@@ -425,11 +430,8 @@ func TestShardedMigration(t *testing.T) {
 			t.Fatalf("post-migration Get(%q) = (%d,%v), want (%d,true)", k, v, ok, i)
 		}
 	}
-	// New writes after the swap must keep working (plain path: the
-	// hashed fast-path flag is permanently off).
-	if m.hashed.Load() {
-		t.Fatal("hashed fast-path flag still set after BeginMigration")
-	}
+	// New writes after the swap must keep working: the shard tables
+	// now probe with the new function while routing keeps the old.
 	m.Put("post-swap", 1)
 	if v, ok := m.Get("post-swap"); !ok || v != 1 {
 		t.Fatalf("post-swap Put/Get = (%d,%v)", v, ok)
@@ -443,7 +445,7 @@ func FuzzShardedMapOps(f *testing.F) {
 	f.Add([]byte("\x00a\x01b\x02a"), uint8(4))
 	f.Add([]byte("\x00k\x00k\x02k\x01k"), uint8(1))
 	f.Fuzz(func(t *testing.T, ops []byte, shards uint8) {
-		m := NewMap[int](hashes.STL, WithShards(int(shards%16)+1))
+		m := NewTable[int](hashes.STL, false, int(shards%16)+1)
 		oracle := make(map[string]int)
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, k := ops[i]%4, fmt.Sprintf("k%d", ops[i+1]%32)

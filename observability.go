@@ -8,7 +8,7 @@ import (
 )
 
 // This file exposes the runtime telemetry layer: instrumented hash
-// wrappers, observed containers, the format-drift monitor, synthesis
+// wrappers, the hooks behind Observed containers, the format-drift monitor, synthesis
 // tracing, and the metrics registry/HTTP endpoint. The paper measures
 // B-Time/H-Time/B-Coll/T-Coll offline (Table 1); these types surface
 // the same quantities — plus the RQ7 question the offline harness
@@ -151,9 +151,6 @@ func (f *Format) DriftMonitor(name string, cfg DriftConfig) *DriftMonitor {
 // B-Coll deltas stay immediate: the running collision count backs the
 // quality alarms and must not trail the table.
 func containerHooks(cm *ContainerMetrics, concurrentGets bool) *container.Hooks {
-	if cm == nil {
-		return nil
-	}
 	b := telemetry.NewBatchedContainerOps(cm)
 	onGet := func(key string, probes int, _ bool) { b.Get(key, probes) }
 	if concurrentGets {
@@ -199,88 +196,4 @@ func containerHooks(cm *ContainerMetrics, concurrentGets bool) *container.Hooks 
 // hot shard must stay visible in the merged view).
 func MergeContainerSnapshots(name string, parts []ContainerSnapshot) ContainerSnapshot {
 	return telemetry.MergeContainerSnapshots(name, parts)
-}
-
-// shardHooksOf builds the per-shard hook selector for a sharded
-// observed container: shard i gets its own adapter feeding ms[i],
-// owned by that shard's write lock.
-func shardHooksOf(ms []*ContainerMetrics) func(int) *container.Hooks {
-	return func(i int) *container.Hooks { return containerHooks(ms[i], true) }
-}
-
-// NewShardedMapObserved returns a ShardedMap with one metric block
-// per shard, created in and registered with r (nil selects the
-// default registry) under name.shard0 … name.shard<n-1>. Merge the
-// per-shard snapshots with MergeContainerSnapshots for a
-// whole-container view.
-func NewShardedMapObserved[V any](hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMap[V] {
-	if r == nil {
-		r = telemetry.Default
-	}
-	m := NewShardedMap[V](hash, opts...)
-	m.m.SetShardHooks(shardHooksOf(r.NewContainerShards(name, m.m.Shards())))
-	return m
-}
-
-// NewShardedSetObserved returns a ShardedSet with per-shard metrics
-// (see NewShardedMapObserved).
-func NewShardedSetObserved(hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedSet {
-	if r == nil {
-		r = telemetry.Default
-	}
-	s := NewShardedSet(hash, opts...)
-	s.s.SetShardHooks(shardHooksOf(r.NewContainerShards(name, s.s.Shards())))
-	return s
-}
-
-// NewShardedMultiMapObserved returns a ShardedMultiMap with per-shard
-// metrics (see NewShardedMapObserved).
-func NewShardedMultiMapObserved[V any](hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMultiMap[V] {
-	if r == nil {
-		r = telemetry.Default
-	}
-	m := NewShardedMultiMap[V](hash, opts...)
-	m.m.SetShardHooks(shardHooksOf(r.NewContainerShards(name, m.m.Shards())))
-	return m
-}
-
-// NewShardedMultiSetObserved returns a ShardedMultiSet with per-shard
-// metrics (see NewShardedMapObserved).
-func NewShardedMultiSetObserved(hash HashFunc, r *MetricsRegistry, name string, opts ...ShardOption) *ShardedMultiSet {
-	if r == nil {
-		r = telemetry.Default
-	}
-	s := NewShardedMultiSet(hash, opts...)
-	s.s.SetShardHooks(shardHooksOf(r.NewContainerShards(name, s.s.Shards())))
-	return s
-}
-
-// NewMapObserved returns a Map whose operations feed cm: per-op probe
-// counts, rehashes, and a running bucket-collision (B-Coll) count. A
-// nil cm yields a plain, unobserved Map.
-func NewMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *Map[V] {
-	m := NewMap[V](hash)
-	m.m.SetHooks(containerHooks(cm, false))
-	return m
-}
-
-// NewSetObserved returns a Set whose operations feed cm.
-func NewSetObserved(hash HashFunc, cm *ContainerMetrics) *Set {
-	s := NewSet(hash)
-	s.s.SetHooks(containerHooks(cm, false))
-	return s
-}
-
-// NewMultiMapObserved returns a MultiMap whose operations feed cm.
-func NewMultiMapObserved[V any](hash HashFunc, cm *ContainerMetrics) *MultiMap[V] {
-	m := NewMultiMap[V](hash)
-	m.m.SetHooks(containerHooks(cm, false))
-	return m
-}
-
-// NewMultiSetObserved returns a MultiSet whose operations feed cm.
-func NewMultiSetObserved(hash HashFunc, cm *ContainerMetrics) *MultiSet {
-	s := NewMultiSet(hash)
-	s.s.SetHooks(containerHooks(cm, false))
-	return s
 }

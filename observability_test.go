@@ -42,8 +42,7 @@ func TestObservedMapMetricsMatchStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := sepe.NewMetricsRegistry()
-	cm := reg.NewContainer("ssnmap")
-	m := sepe.NewMapObserved[int](h.Func(), cm)
+	m := sepe.NewMap[int](h.Func(), sepe.Observed(reg, "ssnmap"))
 	keys := f.Samples(5000, 3)
 	for i, k := range keys {
 		m.Put(k, i)
@@ -53,7 +52,7 @@ func TestObservedMapMetricsMatchStats(t *testing.T) {
 	}
 	m.Delete(keys[0])
 
-	snap := cm.Snapshot()
+	snap := containerSnapshot(t, reg, "ssnmap")
 	if snap.Puts != 5000 || snap.Gets != 100 || snap.Deletes != 1 {
 		t.Fatalf("op counts: %+v", snap)
 	}
@@ -72,18 +71,18 @@ func TestObservedContainerKinds(t *testing.T) {
 
 	// Each block ends with a structural op (Clear/Delete), which
 	// flushes the batched per-op counters before the snapshot below.
-	s := sepe.NewSetObserved(sepe.STLHash, reg.NewContainer("set"))
+	s := sepe.NewSet(sepe.STLHash, sepe.Observed(reg, "set"))
 	s.Add("a")
 	s.Has("a")
 	s.Clear()
 
-	mm := sepe.NewMultiMapObserved[int](sepe.STLHash, reg.NewContainer("mmap"))
+	mm := sepe.NewMultiMap[int](sepe.STLHash, sepe.Observed(reg, "mmap"))
 	mm.Put("k", 1)
 	mm.Put("k", 2)
 	mm.GetAll("k")
 	mm.Clear()
 
-	ms := sepe.NewMultiSetObserved(sepe.STLHash, reg.NewContainer("mset"))
+	ms := sepe.NewMultiSet(sepe.STLHash, sepe.Observed(reg, "mset"))
 	ms.Add("x")
 	ms.Add("x")
 	ms.Clear()
@@ -151,8 +150,8 @@ func TestShardedObservedMetrics(t *testing.T) {
 	}
 
 	reg := sepe.NewMetricsRegistry()
-	m := sepe.NewShardedMapObserved[int](sepe.STLHash, reg, "map", sepe.WithShards(shards))
-	s := sepe.NewShardedSetObserved(sepe.STLHash, reg, "set", sepe.WithShards(shards))
+	m := sepe.NewMap[int](sepe.STLHash, sepe.Sharded(shards), sepe.Observed(reg, "map"))
+	s := sepe.NewSet(sepe.STLHash, sepe.Sharded(shards), sepe.Observed(reg, "set"))
 	for name, c := range map[string]shardedObserved{
 		"map": {
 			put:    func(k string) { m.Put(k, len(k)) },
@@ -231,12 +230,32 @@ func TestShardedObservedMetrics(t *testing.T) {
 	}
 }
 
+// TestObservedNilMetrics pins Observed's nil registry: it selects the
+// default registry, where the container's block then appears.
 func TestObservedNilMetrics(t *testing.T) {
-	m := sepe.NewMapObserved[int](sepe.STLHash, nil)
+	const name = "observed-nil-registry-test"
+	m := sepe.NewMap[int](sepe.STLHash, sepe.Observed(nil, name))
 	m.Put("a", 1)
 	if v, ok := m.Get("a"); !ok || v != 1 {
-		t.Fatal("nil-metrics observed map misbehaves")
+		t.Fatal("default-registry observed map misbehaves")
 	}
+	m.Delete("a")
+	if snap := containerSnapshot(t, sepe.Metrics(), name); snap.Puts != 1 || snap.Gets != 1 || snap.Deletes != 1 {
+		t.Fatalf("default-registry block counts: %+v", snap)
+	}
+}
+
+// containerSnapshot returns the snapshot of reg's container block
+// named name.
+func containerSnapshot(t *testing.T, reg *sepe.MetricsRegistry, name string) sepe.ContainerSnapshot {
+	t.Helper()
+	for _, cs := range reg.Snapshot().Containers {
+		if cs.Name == name {
+			return cs
+		}
+	}
+	t.Fatalf("no container block named %q", name)
+	return sepe.ContainerSnapshot{}
 }
 
 func TestFormatDriftMonitorEndToEnd(t *testing.T) {

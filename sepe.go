@@ -10,6 +10,16 @@
 // into the package's hash containers (Map, Set, MultiMap, MultiSet),
 // which mirror the std::unordered_* containers the paper benchmarks.
 //
+// A container is one composition. NewMap, NewSet, NewMultiMap and
+// NewMultiSet pick the kind; the hash source is a HashFunc, or an
+// *AdaptiveHash, which makes the container follow the hash's
+// self-healing swaps with an incremental re-bucket; Sharded(n) makes
+// it safe for concurrent use by lock striping; Observed(reg, name)
+// feeds its operations to metrics. Every composition has the same
+// methods:
+//
+//	m := sepe.NewMap[int](ah, sepe.Sharded(0), sepe.Observed(nil, "ssn"))
+//
 // A minimal session, equivalent to the paper's getting-started
 // tutorial:
 //

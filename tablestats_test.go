@@ -169,7 +169,7 @@ func TestShardedTableStatsMerge(t *testing.T) {
 		keys[i] = fmt.Sprintf("key-%04d", i)
 	}
 
-	single := sepe.NewShardedMap[int](hash, sepe.WithShards(1))
+	single := sepe.NewMap[int](hash, sepe.Sharded(1))
 	plain := sepe.NewMap[int](hash)
 	for i, k := range keys {
 		single.Put(k, i)
@@ -183,7 +183,7 @@ func TestShardedTableStatsMerge(t *testing.T) {
 		t.Errorf("shard count 1: merged stats %+v != plain container stats %+v", got, want)
 	}
 
-	many := sepe.NewShardedMap[int](hash, sepe.WithShards(8))
+	many := sepe.NewMap[int](hash, sepe.Sharded(8))
 	for i, k := range keys {
 		many.Put(k, i)
 	}
