@@ -20,7 +20,8 @@ FUZZTIME ?= 30s
 all: build vet test
 
 # The CI gate: formatting, vet, build, and the full suite under the
-# race detector. Mirrors .github/workflows/ci.yml.
+# race detector, then vet and tests of the separate benchmark module.
+# Mirrors .github/workflows/ci.yml.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -29,6 +30,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -tags purego ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

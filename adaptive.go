@@ -75,9 +75,6 @@ func NewAdaptiveHash(name string, f *Format, fam Family, cfg AdaptiveConfig, opt
 		for _, opt := range opts {
 			opt(&o)
 		}
-		// Synthesis tracers are not required to be goroutine-safe; the
-		// background loop must not share the caller's.
-		o.Tracer = nil
 		if o.Seed != nil {
 			cfg.Synthesize = adaptive.NewSeededSynthesizer(core.Family(fam), o)
 		} else {

@@ -189,3 +189,53 @@ func TestAdaptiveEndToEndSecondDrift(t *testing.T) {
 		t.Fatalf("successes = %d, want 2", s.ResynthSuccesses)
 	}
 }
+
+// Background re-synthesis records its synthesis spans into the
+// recorder the caller passed with WithRecorder, nested in time inside
+// the adaptive.resynth attempt that ran them.
+func TestAdaptiveResynthesisRecordsIntoCallerRecorder(t *testing.T) {
+	f, err := sepe.ParseRegex(`[0-9]{3}-[0-9]{2}-[0-9]{4}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := sepe.NewMetricsRegistry()
+	ah, err := sepe.NewAdaptiveHash("resynth-spans", f, sepe.Pext, sepe.AdaptiveConfig{
+		SampleEvery:    1,
+		MinKeys:        64,
+		MaxAttempts:    4,
+		InitialBackoff: time.Millisecond,
+		AttemptTimeout: 30 * time.Second,
+		Drift:          sepe.DriftConfig{Window: 64, MinSamples: 16},
+		Registry:       reg,
+	}, sepe.WithRecorder(reg.Recorder()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ah.Close()
+
+	i := 0
+	waitState(t, func() { ah.Hash(ipv4(i)); i++ },
+		func() bool { return ah.State() == sepe.AdaptiveRecovered }, "recovery")
+
+	evs := reg.Recorder().Events()
+	inResynth := func(start int64) bool {
+		for _, ev := range evs {
+			if ev.Name == "adaptive.resynth" && ev.Start <= start && start <= ev.Start+ev.Dur {
+				return true
+			}
+		}
+		return false
+	}
+	for _, name := range []string{"synth.plan", "synth.compile"} {
+		found := false
+		for _, ev := range evs {
+			found = found || ev.Name == name && inResynth(ev.Start)
+		}
+		if !found {
+			t.Errorf("no %s span inside an adaptive.resynth span; recorded:", name)
+			for _, ev := range evs {
+				t.Logf("  %s start=%d dur=%d", ev.Name, ev.Start, ev.Dur)
+			}
+		}
+	}
+}

@@ -17,7 +17,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -134,36 +136,20 @@ func run(cfg config, out io.Writer) error {
 	if cfg.lint {
 		return lint(pat, fams, opts, out)
 	}
-	// -stats and -trace both observe the pipeline through Tracer: the
-	// collector feeds the timing report, the flight recorder feeds the
-	// Chrome trace export. Either (or both) forces the full pipeline so
-	// every phase is spanned.
-	var tracer *telemetry.CollectTracer
-	var rec *telemetry.Recorder
-	var sinks telemetry.MultiTracer
-	if cfg.stats {
-		tracer = &telemetry.CollectTracer{}
-		sinks = append(sinks, tracer)
-	}
-	if cfg.trace != "" {
-		rec = telemetry.NewRecorder(0)
+	// -stats and -trace both read one flight recorder: its spans feed
+	// the timing report and the Chrome trace export. Either (or both)
+	// forces the full pipeline so every phase is spanned.
+	full := cfg.stats || cfg.trace != ""
+	if full {
+		opts.Recorder = telemetry.NewRecorder(0)
 		if cfg.redact {
 			// The same policy surface as Registry.SetRedactor: sensitive
 			// attributes (certifier counterexamples among them) pass
 			// through the mask at export time; raw values never reach
 			// the trace file.
-			rec.SetRedactor(maskValue)
+			opts.Recorder.SetRedactor(maskValue)
 		}
-		sinks = append(sinks, rec)
 	}
-	switch len(sinks) {
-	case 0:
-	case 1:
-		opts.Tracer = sinks[0]
-	default:
-		opts.Tracer = sinks
-	}
-	full := cfg.stats || cfg.trace != ""
 	var plans []*core.Plan
 	for i, fam := range fams {
 		var plan *core.Plan
@@ -204,14 +190,14 @@ func run(cfg config, out io.Writer) error {
 		fmt.Fprint(out, codegen.Support(cfg.pkg))
 	}
 	if cfg.stats {
-		printStats(cfg.statsWriter(), tracer, plans)
+		printStats(cfg.statsWriter(), opts.Recorder, plans)
 	}
-	if rec != nil {
+	if cfg.trace != "" {
 		f, err := os.Create(cfg.trace)
 		if err != nil {
 			return err
 		}
-		if err := rec.WriteChromeTrace(f); err != nil {
+		if err := opts.Recorder.WriteChromeTrace(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -266,7 +252,7 @@ func (cfg config) statsWriter() io.Writer {
 
 // printStats renders the -stats report: one plan-summary line per
 // family, the per-span timing table, and per-phase totals.
-func printStats(w io.Writer, tr *telemetry.CollectTracer, plans []*core.Plan) {
+func printStats(w io.Writer, rec *telemetry.Recorder, plans []*core.Plan) {
 	fmt.Fprintln(w, "# plans")
 	for _, p := range plans {
 		switch {
@@ -280,11 +266,30 @@ func printStats(w io.Writer, tr *telemetry.CollectTracer, plans []*core.Plan) {
 				p.Family, p.Pattern.MinLen, p.Pattern.MaxLen, p.SkipLoads, p.HashBits, p.Backend)
 		}
 	}
+	// Events come back in Seq order, the order the spans ended; spans
+	// of the same name stay listed separately (one per family).
+	var spans []telemetry.Event
+	width := 0
+	totals := map[string]time.Duration{}
+	for _, ev := range rec.Events() {
+		if ev.Kind != telemetry.EventSpan {
+			continue
+		}
+		spans = append(spans, ev)
+		width = max(width, len(ev.Name))
+		totals[ev.Name] += time.Duration(ev.Dur)
+	}
 	fmt.Fprintln(w, "# phases")
-	fmt.Fprint(w, tr.Report())
+	for _, ev := range spans {
+		fmt.Fprintf(w, "%-*s %12s", width, ev.Name, time.Duration(ev.Dur).Round(time.Microsecond))
+		for _, a := range ev.AttrList() {
+			fmt.Fprint(w, "  "+a.String())
+		}
+		fmt.Fprintln(w)
+	}
 	fmt.Fprintln(w, "# totals")
-	for _, s := range tr.Totals() {
-		fmt.Fprintf(w, "%-14s %12s\n", s.Name, s.Duration.Round(time.Microsecond))
+	for _, name := range slices.Sorted(maps.Keys(totals)) {
+		fmt.Fprintf(w, "%-14s %12s\n", name, totals[name].Round(time.Microsecond))
 	}
 }
 

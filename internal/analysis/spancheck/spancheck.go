@@ -1,6 +1,5 @@
 // Package spancheck verifies the telemetry span pairing invariant:
-// every done-func returned by telemetry.StartSpan — or by
-// telemetry.StartEvent, the flight-recorder variant — must be called
+// every done-func returned by telemetry.StartEvent must be called
 // exactly once on every return path of the function that started the
 // span. A path that returns without calling it silently truncates the
 // trace (the PR 1 span-leak class); calling it twice double-reports
@@ -29,7 +28,7 @@ import (
 // Analyzer is the spancheck analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "spancheck",
-	Doc:  "check that every telemetry.StartSpan / StartEvent done-func is called exactly once on every return path",
+	Doc:  "check that every telemetry.StartEvent done-func is called exactly once on every return path",
 	Run:  run,
 }
 
@@ -53,7 +52,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// checkFunc finds the StartSpan assignments directly inside this
+// checkFunc finds the StartEvent assignments directly inside this
 // function (not inside nested function literals — those are their own
 // units) and verifies each tracked variable.
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
@@ -72,7 +71,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 				return true
 			}
 			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok || !isStartSpan(pass, call) {
+			if !ok || !isStartEvent(pass, call) {
 				return true
 			}
 			obj := pass.TypesInfo.Defs[id]
@@ -93,11 +92,9 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 	walk(body)
 }
 
-// isStartSpan reports whether call invokes a span-starting function —
-// StartSpan or StartEvent — from a telemetry package. Both return a
-// done-func with identical pairing obligations; StartEvent records
-// into the flight recorder rather than a Tracer.
-func isStartSpan(pass *analysis.Pass, call *ast.CallExpr) bool {
+// isStartEvent reports whether call invokes StartEvent from a
+// telemetry package, the one function that starts a span.
+func isStartEvent(pass *analysis.Pass, call *ast.CallExpr) bool {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -111,7 +108,7 @@ func isStartSpan(pass *analysis.Pass, call *ast.CallExpr) bool {
 	if !ok || obj.Pkg() == nil {
 		return false
 	}
-	if name := obj.Name(); name != "StartSpan" && name != "StartEvent" {
+	if obj.Name() != "StartEvent" {
 		return false
 	}
 	path := obj.Pkg().Path()
@@ -185,7 +182,7 @@ func (c *checker) stmt(s ast.Stmt, st state) state {
 	case *ast.ReturnStmt:
 		st = c.exprs(s.Results, st, false)
 		if st == stPending {
-			c.pass.Reportf(s.Pos(), "return leaks span done-func %s (StartSpan at %s)",
+			c.pass.Reportf(s.Pos(), "return leaks span done-func %s (StartEvent at %s)",
 				c.obj.Name(), c.pass.Fset.Position(c.def.Pos()))
 			return stDone // report each leaking path once
 		}

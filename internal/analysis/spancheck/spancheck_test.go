@@ -7,17 +7,11 @@ import (
 	"github.com/sepe-go/sepe/internal/analysis/spancheck"
 )
 
-// fakeTelemetry mimics the real package's StartSpan shape closely
+// fakeTelemetry mimics the real package's StartEvent shape closely
 // enough for the suffix-based matcher.
 const fakeTelemetry = `package telemetry
 
 type Attr struct{ Key, Val string }
-
-type Tracer interface{ Span(name string, attrs ...Attr) }
-
-func StartSpan(t Tracer, name string, attrs ...Attr) func(attrs ...Attr) {
-	return func(...Attr) {}
-}
 
 type Recorder struct{}
 
@@ -40,7 +34,7 @@ func TestLeakOnEarlyReturn(t *testing.T) {
 import "sepevet.test/m/telemetry"
 
 func f(cond bool) error {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	if cond {
 		return nil
 	}
@@ -51,11 +45,8 @@ func f(cond bool) error {
 	analysistest.Expect(t, got, "return leaks span done-func done")
 }
 
-// A call on only one branch merges to "maybe", which stays silent:
-// the checker would rather miss this than cry wolf.
-// StartEvent done-funcs carry the same pairing obligation as
-// StartSpan ones: an early return that skips the end call leaks the
-// flight-recorder event, and defer satisfies every exit.
+// An early return that skips the end call leaks the flight-recorder
+// event, and defer satisfies every exit.
 func TestStartEventLeakAndPairing(t *testing.T) {
 	got := run(t, `package app
 
@@ -102,6 +93,8 @@ func f() {
 	analysistest.Expect(t, got, "called twice on this path")
 }
 
+// A call on only one branch merges to "maybe", which stays silent:
+// the checker would rather miss this than cry wolf.
 func TestMaybeIsSilent(t *testing.T) {
 	got := run(t, `package app
 
@@ -110,7 +103,7 @@ import "sepevet.test/m/telemetry"
 var sink int
 
 func f() {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	sink++
 	if sink > 3 {
 		done()
@@ -126,7 +119,7 @@ func TestProperPairingIsClean(t *testing.T) {
 import "sepevet.test/m/telemetry"
 
 func direct(cond bool) error {
-	done := telemetry.StartSpan(nil, "direct")
+	done := telemetry.StartEvent(nil, "c", "direct")
 	if cond {
 		done()
 		return nil
@@ -136,7 +129,7 @@ func direct(cond bool) error {
 }
 
 func deferred(cond bool) error {
-	done := telemetry.StartSpan(nil, "deferred")
+	done := telemetry.StartEvent(nil, "c", "deferred")
 	defer done()
 	if cond {
 		return nil
@@ -145,7 +138,7 @@ func deferred(cond bool) error {
 }
 
 func deferredClosure() {
-	done := telemetry.StartSpan(nil, "closure")
+	done := telemetry.StartEvent(nil, "c", "closure")
 	n := 0
 	defer func() { done(telemetry.Attr{Key: "n", Val: "x"}) }()
 	n++
@@ -161,7 +154,7 @@ func TestDoubleCall(t *testing.T) {
 import "sepevet.test/m/telemetry"
 
 func f() {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	done()
 	done()
 }
@@ -175,7 +168,7 @@ func TestDeferAfterCall(t *testing.T) {
 import "sepevet.test/m/telemetry"
 
 func f() {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	done()
 	defer done()
 }
@@ -191,12 +184,12 @@ import "sepevet.test/m/telemetry"
 func keep(f func(...telemetry.Attr)) {}
 
 func escapeArg() {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	keep(done)
 }
 
 func escapeCapture() func() {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	return func() { done() }
 }
 `)
@@ -209,7 +202,7 @@ func TestLoopCallsAreSilent(t *testing.T) {
 import "sepevet.test/m/telemetry"
 
 func f(n int) {
-	done := telemetry.StartSpan(nil, "f")
+	done := telemetry.StartEvent(nil, "c", "f")
 	for i := 0; i < n; i++ {
 		done()
 	}

@@ -150,11 +150,11 @@ type Options struct {
 	// function for keys with fewer than eight bytes"); RQ7's
 	// four-digit worst-case experiment needs the forced path.
 	AllowShort bool
-	// Tracer, when non-nil, receives timed span events from each
+	// Recorder, when non-nil, records a timed span event for each
 	// synthesis phase (planning, pext mask lowering, verification,
 	// compilation) with per-phase attributes such as load counts and
 	// variable bits.
-	Tracer telemetry.Tracer
+	Recorder *telemetry.Recorder
 	// RequireBijective makes Synthesize fail with ErrNotBijective
 	// unless the certifier proves the plan maps distinct format keys
 	// to distinct hashes. The check runs the full GF(2) rank analysis

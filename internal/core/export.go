@@ -54,7 +54,7 @@ func FromPlan(p *Plan, opts Options) (*Fn, error) {
 		return nil, fmt.Errorf("core: deserialized plan rejected: %w", err)
 	}
 	if opts.Seed != nil {
-		p.Seed = deriveSeed(opts.Seed, opts.Tracer)
+		p.Seed = deriveSeed(opts.Seed, opts.Recorder)
 	}
 	if opts.RequireBijective {
 		if c := Certify(p); !c.Bijective {

@@ -87,8 +87,8 @@ func (p *Plan) mixed() bool {
 // full rank (and its inverse exists); the weight-5 circulant
 // construction makes rejection impossible, but the proof — not the
 // construction — gates acceptance.
-func deriveSeed(s *seed.Seed, tr telemetry.Tracer) *PlanSeed {
-	done := telemetry.StartSpan(tr, "plan.seed")
+func deriveSeed(s *seed.Seed, rec *telemetry.Recorder) *PlanSeed {
+	done := telemetry.StartEvent(rec, "plan", "plan.seed")
 	for attempt := uint64(0); ; attempt++ {
 		m := s.MaterialAt(attempt)
 		ps := &PlanSeed{

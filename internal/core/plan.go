@@ -96,7 +96,7 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 	if pat == nil {
 		return nil, ErrNilPattern
 	}
-	validateDone := telemetry.StartSpan(opts.Tracer, "plan.pattern")
+	validateDone := telemetry.StartEvent(opts.Recorder, "plan", "plan.pattern")
 	if err := pat.Validate(); err != nil {
 		// Close the span on the error path too: a rejected pattern
 		// must show up in the trace, not truncate it.
@@ -125,11 +125,11 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 	case pat.MinLen < pattern.WordSize && !opts.AllowShort:
 		p.Fallback = true
 	case pat.MinLen < pattern.WordSize:
-		p, err = buildShortPlan(p, fam, opts.Tracer)
+		p, err = buildShortPlan(p, fam, opts.Recorder)
 	case p.Fixed:
-		p, err = buildFixedPlan(p, fam, opts.Tracer)
+		p, err = buildFixedPlan(p, fam, opts.Recorder)
 	default:
-		p, err = buildVariablePlan(p, fam, opts.Tracer)
+		p, err = buildVariablePlan(p, fam, opts.Recorder)
 	}
 	if err != nil {
 		return nil, err
@@ -137,7 +137,7 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 	// Keying attaches after planning: the dataflow is the paper's, the
 	// seed transforms only its output (or, for Aes, its round keys).
 	if opts.Seed != nil {
-		p.Seed = deriveSeed(opts.Seed, opts.Tracer)
+		p.Seed = deriveSeed(opts.Seed, opts.Recorder)
 	}
 	return p, nil
 }
@@ -145,7 +145,7 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 // buildFixedPlan unrolls the loads of a fixed-length format
 // (Section 3.2.2), and for Pext attaches masks and packing shifts
 // (Section 3.2.3).
-func buildFixedPlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) {
+func buildFixedPlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, error) {
 	pat := p.Pattern
 	var offsets []int
 	switch fam {
@@ -174,7 +174,7 @@ func buildFixedPlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) {
 	// or the bijection breaks — compare the paper's Figure 12, where
 	// the second SSN mask covers only the three bytes the first load
 	// missed).
-	pextDone := telemetry.StartSpan(tr, "plan.pext")
+	pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
 	covered := make([]bool, pat.MaxLen)
 	var loads []Load
 	total := 0
@@ -234,7 +234,7 @@ func packShifts(loads []Load, total int) []Load {
 
 // buildVariablePlan builds the skip-table loop of Section 3.2.1 for
 // formats whose keys vary in length.
-func buildVariablePlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) {
+func buildVariablePlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, error) {
 	pat := p.Pattern
 	if fam == Naive {
 		// Naive ignores constants entirely: whole-key chunk loop.
@@ -255,7 +255,7 @@ func buildVariablePlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) 
 	if fam == Pext {
 		// Attach an extractor per load so constant bits vanish from
 		// the loop too. Loads are at cumulative skip offsets.
-		pextDone := telemetry.StartSpan(tr, "plan.pext")
+		pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
 		defer func() { pextDone(telemetry.Int("masks", len(p.Loads))) }()
 		off := 0
 		cum := 0
@@ -287,7 +287,7 @@ func skipAt(skip []int, c int) int {
 
 // buildShortPlan handles formats shorter than a word when the caller
 // explicitly allows it (RQ7's four-digit keys): one partial load.
-func buildShortPlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) {
+func buildShortPlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, error) {
 	pat := p.Pattern
 	n := pat.MinLen
 	if n == 0 {
@@ -296,7 +296,7 @@ func buildShortPlan(p *Plan, fam Family, tr telemetry.Tracer) (*Plan, error) {
 	}
 	l := Load{Offset: 0, Partial: n, Mask: ^uint64(0)}
 	if fam == Pext {
-		pextDone := telemetry.StartSpan(tr, "plan.pext")
+		pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
 		var m uint64
 		for i := 0; i < n; i++ {
 			m |= uint64(pat.Bytes[i].VarBits()) << (8 * i)

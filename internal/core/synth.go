@@ -20,7 +20,7 @@ type Fn struct {
 // checker (VerifyPlan) before compilation, so planner bugs fail here
 // rather than ship as silently weaker hash functions.
 func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
-	planDone := telemetry.StartSpan(opts.Tracer, "synth.plan",
+	planDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.plan",
 		telemetry.Str("family", fam.String()))
 	plan, err := BuildPlan(pat, fam, opts)
 	if err != nil {
@@ -31,7 +31,7 @@ func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
 		telemetry.Int("variable_bits", plan.HashBits),
 		telemetry.Bool("fallback", plan.Fallback),
 		telemetry.Bool("seeded", plan.Seed != nil))
-	verifyDone := telemetry.StartSpan(opts.Tracer, "synth.verify",
+	verifyDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.verify",
 		telemetry.Str("family", fam.String()))
 	if err := VerifyPlan(plan); err != nil {
 		verifyDone(telemetry.Str("error", err.Error()))
@@ -54,7 +54,7 @@ func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
 		}
 	}
 	verifyDone()
-	compileDone := telemetry.StartSpan(opts.Tracer, "synth.compile",
+	compileDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.compile",
 		telemetry.Str("family", fam.String()))
 	hash := plan.Compile()
 	compileDone(telemetry.Bool("bijective", plan.Bijective()))

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -42,6 +41,35 @@ func (k EventKind) String() string {
 	default:
 		return "kind?"
 	}
+}
+
+// Attr is one key/value annotation on an event.
+type Attr struct {
+	Key   string
+	Value string
+	// Sensitive marks the value as user data (a key, a certifier
+	// counterexample). Flight-recorder exports pass sensitive values
+	// through the installed redactor (Recorder.SetRedactor) before
+	// they leave the process; in-process readers see them raw.
+	Sensitive bool
+}
+
+// String formats an attribute as key=value.
+func (a Attr) String() string { return a.Key + "=" + a.Value }
+
+// Int builds an integer-valued attribute.
+func Int(key string, v int) Attr { return Attr{Key: key, Value: fmt.Sprint(v)} }
+
+// Str builds a string-valued attribute.
+func Str(key, value string) Attr { return Attr{Key: key, Value: value} }
+
+// Bool builds a boolean-valued attribute.
+func Bool(key string, v bool) Attr { return Attr{Key: key, Value: fmt.Sprint(v)} }
+
+// Sensitive builds a string-valued attribute carrying user data, to be
+// redacted at export.
+func Sensitive(key, value string) Attr {
+	return Attr{Key: key, Value: value, Sensitive: true}
 }
 
 // eventAttrs is the number of attribute slots an Event carries. The
@@ -82,8 +110,8 @@ func (e *Event) AttrList() []Attr { return e.Attrs[:e.NAttr] }
 // The ring holds the most recent Cap events — older ones are
 // overwritten, with Dropped counting the loss.
 //
-// A Recorder is also a Tracer: passed to WithTracer (or set as
-// core.Options.Tracer), it captures every synthesis span.
+// Passed to WithRecorder (or set as core.Options.Recorder), a
+// Recorder also captures every synthesis span.
 type Recorder struct {
 	slots   []atomic.Pointer[Event]
 	mask    uint64
@@ -190,28 +218,6 @@ func fillAttrs(ev *Event, attrs []Attr) {
 	ev.NAttr = uint8(n)
 }
 
-// catOf derives a category from a dot-separated event name.
-func catOf(name string) string {
-	if i := strings.IndexByte(name, '.'); i > 0 {
-		return name[:i]
-	}
-	return name
-}
-
-// Emit implements Tracer: every synthesis span becomes a recorded
-// span event, so `WithTracer(recorder)` captures the pipeline.
-func (r *Recorder) Emit(s Span) {
-	ev := Event{
-		Kind:  EventSpan,
-		Cat:   catOf(s.Name),
-		Name:  s.Name,
-		Start: s.Start.UnixNano(),
-		Dur:   int64(s.Duration),
-	}
-	fillAttrs(&ev, s.Attrs)
-	r.record(ev)
-}
-
 // Instant records a point-in-time event.
 func (r *Recorder) Instant(cat, name string, attrs ...Attr) {
 	if r == nil || !r.enabled.Load() {
@@ -224,9 +230,10 @@ func (r *Recorder) Instant(cat, name string, attrs ...Attr) {
 
 // StartEvent begins a recorded span and returns the function that
 // ends and publishes it; attributes passed at end time are appended
-// to those given at start. Like StartSpan, a nil recorder yields a
-// no-op closure, and the done-func must be called exactly once on
-// every return path (the spancheck analyzer enforces this):
+// to those given at start. A nil recorder yields a no-op closure, so
+// call sites need no nil checks, and the done-func must be called
+// exactly once on every return path (the spancheck analyzer enforces
+// this):
 //
 //	done := telemetry.StartEvent(rec, "adaptive", "adaptive.heal")
 //	defer done()

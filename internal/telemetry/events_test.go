@@ -70,10 +70,9 @@ func TestRecorderDisabled(t *testing.T) {
 	}
 }
 
-func TestRecorderIsTracer(t *testing.T) {
+func TestStartEventRecordsSpan(t *testing.T) {
 	r := NewRecorder(16)
-	var tr Tracer = r // compile-time check as well
-	done := StartSpan(tr, "synth.plan", Str("family", "pext"))
+	done := StartEvent(r, "synth", "synth.plan", Str("family", "pext"))
 	time.Sleep(time.Millisecond)
 	done(Int("loads", 3))
 	evs := r.Events()
@@ -270,7 +269,8 @@ func TestRecorderConcurrent(t *testing.T) {
 					done := StartEvent(r, "cat", "span")
 					done()
 				default:
-					r.Emit(Span{Name: "synth.x", Start: time.Now()})
+					end := StartEvent(r, "synth", "synth.x", Str("family", "pext"))
+					end(Int("w", w))
 				}
 			}
 		}(w)

@@ -1,7 +1,8 @@
 // Package telemetry is the runtime observability layer: lock-free
 // counters and histograms for hash and container metrics, a format
-// drift monitor, a structured synthesis tracer, and an HTTP handler
-// exposing everything in Prometheus text and expvar-style JSON.
+// drift monitor, a flight recorder of lifecycle events and synthesis
+// spans, and an HTTP handler exposing everything in Prometheus text
+// and expvar-style JSON.
 //
 // The paper's evaluation measures B-Time, H-Time, B-Coll and T-Coll
 // offline (Table 1); this package makes the same quantities visible in

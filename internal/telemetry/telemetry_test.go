@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,35 +283,6 @@ func TestConcurrentWriters(t *testing.T) {
 	if !sawDegrade.Load() {
 		t.Fatal("half-mismatch stream above threshold did not degrade")
 	}
-}
-
-func TestMultiTracerAndWriterTracer(t *testing.T) {
-	var sb strings.Builder
-	c := &CollectTracer{}
-	mt := MultiTracer{c, &WriterTracer{W: &sb}, nil}
-	done := StartSpan(mt, "phase.one", Str("k", "v"))
-	done(Int("n", 3))
-	spans := c.Spans()
-	if len(spans) != 1 || spans[0].Name != "phase.one" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if len(spans[0].Attrs) != 2 || spans[0].Attrs[1].String() != "n=3" {
-		t.Fatalf("attrs = %+v", spans[0].Attrs)
-	}
-	if !strings.Contains(sb.String(), "phase.one") || !strings.Contains(sb.String(), "k=v") {
-		t.Fatalf("writer output = %q", sb.String())
-	}
-	if !strings.Contains(c.Report(), "phase.one") {
-		t.Fatalf("report = %q", c.Report())
-	}
-	if tot := c.Totals(); len(tot) != 1 || tot[0].Name != "phase.one" {
-		t.Fatalf("totals = %+v", tot)
-	}
-}
-
-func TestStartSpanNilTracer(t *testing.T) {
-	done := StartSpan(nil, "x")
-	done() // must not panic
 }
 
 func TestMergeContainerSnapshots(t *testing.T) {

@@ -15,17 +15,6 @@ import (
 // cannot answer: are production keys still the format the function was
 // specialized to?
 
-// Tracer receives timed span events from the synthesis pipeline; pass
-// one with WithTracer. CollectTracer accumulates spans in memory,
-// WriterTracer streams them to an io.Writer.
-type (
-	Tracer        = telemetry.Tracer
-	Span          = telemetry.Span
-	SpanAttr      = telemetry.Attr
-	CollectTracer = telemetry.CollectTracer
-	WriterTracer  = telemetry.WriterTracer
-)
-
 // Metric blocks and the registry that aggregates them.
 type (
 	HashMetrics       = telemetry.HashMetrics
@@ -47,6 +36,7 @@ type (
 type (
 	FlightRecorder  = telemetry.Recorder
 	TraceEvent      = telemetry.Event
+	SpanAttr        = telemetry.Attr
 	Exemplar        = telemetry.Exemplar
 	HealthReport    = telemetry.HealthReport
 	ComponentHealth = telemetry.ComponentHealth
@@ -96,10 +86,10 @@ func HealthHandler() http.Handler { return telemetry.Default.HealthHandler() }
 // Health returns the default registry's current health report.
 func Health() HealthReport { return telemetry.Default.Health() }
 
-// FlightRecorderOf returns the default registry's flight recorder —
-// also a Tracer, so synthesis spans can be captured into it:
+// FlightRecorderOf returns the default registry's flight recorder.
+// Synthesis spans are captured into it with WithRecorder:
 //
-//	sepe.WithTracer(sepe.FlightRecorderOf())
+//	sepe.WithRecorder(sepe.FlightRecorderOf())
 func FlightRecorderOf() *FlightRecorder { return telemetry.Default.Recorder() }
 
 // RegisterRuntimeMetrics bridges a curated set of runtime/metrics

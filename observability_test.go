@@ -3,6 +3,7 @@ package sepe_test
 import (
 	"fmt"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -290,24 +291,29 @@ func TestFormatDriftMonitorEndToEnd(t *testing.T) {
 	}
 }
 
-func TestWithTracerEmitsSynthesisSpans(t *testing.T) {
+func TestWithRecorderEmitsSynthesisSpans(t *testing.T) {
 	f := ssnFormat(t)
-	tr := &sepe.CollectTracer{}
-	if _, err := sepe.Synthesize(f, sepe.Pext, sepe.WithTracer(tr)); err != nil {
+	rec := sepe.NewMetricsRegistry().Recorder()
+	if _, err := sepe.Synthesize(f, sepe.Pext, sepe.WithRecorder(rec)); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	for _, s := range tr.Spans() {
-		names[s.Name] = true
+	var attrs []string
+	for _, ev := range rec.Events() {
+		names[ev.Name] = true
+		for _, a := range ev.AttrList() {
+			attrs = append(attrs, a.String())
+		}
 	}
 	for _, want := range []string{"plan.pattern", "plan.pext", "synth.plan", "synth.verify", "synth.compile"} {
 		if !names[want] {
 			t.Errorf("missing span %q (got %v)", want, names)
 		}
 	}
-	report := tr.Report()
-	if !strings.Contains(report, "family=Pext") || !strings.Contains(report, "bijective=true") {
-		t.Errorf("report missing attributes:\n%s", report)
+	for _, want := range []string{"family=Pext", "bijective=true"} {
+		if !slices.Contains(attrs, want) {
+			t.Errorf("spans missing attribute %q (got %v)", want, attrs)
+		}
 	}
 }
 

@@ -184,12 +184,15 @@ func AllowShortKeys() Option {
 	return func(o *core.Options) { o.AllowShort = true }
 }
 
-// WithTracer streams timed span events of the synthesis pipeline
+// WithRecorder records timed span events of the synthesis pipeline
 // (pattern validation, planning, pext mask lowering, verification,
-// compilation) to t. A CollectTracer gathers them for a per-phase
-// report; a WriterTracer prints them as they happen.
-func WithTracer(t Tracer) Option {
-	return func(o *core.Options) { o.Tracer = t }
+// compilation) into r, next to whatever else r holds. Pass a
+// registry's recorder (MetricsRegistry.Recorder, FlightRecorderOf) to
+// see synthesis on the same timeline as the adaptive lifecycle; the
+// recorder is safe for concurrent use, so background re-synthesis of
+// an AdaptiveHash records into it too.
+func WithRecorder(r *FlightRecorder) Option {
+	return func(o *core.Options) { o.Recorder = r }
 }
 
 // Seed is an opaque keying secret for seeded synthesis. A seeded
