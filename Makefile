@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check lint lint-diff race mutate certify flood traffic bench benchhw benchparallel benchobs fuzz repro repro-quick examples golden serve-smoke clean
+.PHONY: all build test vet check lint lint-diff race mutate certify flood traffic bench fuzz repro repro-quick examples golden serve-smoke clean
 
 # Pinned versions of the external analysis tools. The module has no
 # dependencies, so the usual blank-import tools.go pattern would break
@@ -111,32 +111,6 @@ test:
 # Per-table/figure micro-benchmarks (testing.B).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Hardware-vs-software comparison for the family microbenchmarks: the
-# same BenchmarkBackend grid with the BMI2/AES-NI kernels active and
-# with them forced off (SEPE_NOHW=all). Numbers are recorded in
-# BENCH_hw.json.
-benchhw:
-	$(GO) test -bench=BenchmarkBackend -benchmem -run '^$$' .
-	SEPE_NOHW=all $(GO) test -bench=BenchmarkBackend -benchmem -run '^$$' .
-
-# Concurrency grid: sharded vs mutex-wrapped containers at 1, 4 and
-# GOMAXPROCS goroutines, plus the batch-vs-loop amortization pairs.
-# Numbers are recorded in BENCH_parallel.json (note the GOMAXPROCS
-# caveat there: lock striping needs real cores to show parallel
-# speedup).
-benchparallel:
-	$(GO) test -bench 'BenchmarkParallelMap|BenchmarkParallelSet|BenchmarkHashBatch|BenchmarkPutGetBatch' -benchmem -count=3 -run '^$$' .
-
-# Observability-plane overhead: the hot path with the flight
-# recorder, SLO histograms, exemplars and drift monitor all enabled
-# versus the uninstrumented build. TestObsPairedOverhead prints the
-# paired/ABBA overhead measurements behind BENCH_obs.json (budget:
-# <=12% on the memory-resident map path, 0 allocs/op everywhere);
-# the BenchmarkObs grid gives the absolute ns/op per path.
-benchobs:
-	$(GO) test -run 'TestObsPairedOverhead|TestObservabilityZeroAllocs' -count=1 -v . | grep -E 'hash:|map|Allocs|PASS|FAIL|ok '
-	$(GO) test -bench 'BenchmarkObs' -benchmem -run '^$$' .
 
 # Fuzz every public-surface target for FUZZTIME each: regex parsing,
 # inference, synthesized hashes on arbitrary keys, the bijective

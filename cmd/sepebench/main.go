@@ -32,7 +32,6 @@ import (
 	"github.com/sepe-go/sepe/internal/codegen"
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/core"
-	"github.com/sepe-go/sepe/internal/cpu"
 	"github.com/sepe-go/sepe/internal/dash"
 	"github.com/sepe-go/sepe/internal/entropy"
 	"github.com/sepe-go/sepe/internal/hashes"
@@ -68,12 +67,6 @@ func main() {
 		plot      = flag.Bool("plot", false, "render figures as terminal charts in addition to the tables")
 		telemAddr = flag.String("telemetry", "",
 			"serve live metrics (Prometheus text, or JSON with ?format=json) on this address while experiments run, e.g. :9090")
-		driftInj = flag.String("drift-inject", "",
-			"run the self-healing demo instead of experiments: FROM:TO key types, e.g. ssn:ipv4")
-		noHW = flag.Bool("nohw", false,
-			"disable the BMI2/AES-NI hardware kernels; synthesized functions run on the portable software tier")
-		parallelN = flag.Int("parallel", 0,
-			"run the concurrent-container drive from N goroutines instead of experiments (0 = off; negative = GOMAXPROCS)")
 		certify = flag.Bool("certify", false,
 			"certify every family over the eight RQ key formats instead of running experiments: emit the JSON certificate report (BENCH_certify.json) and exit non-zero on any certifier finding")
 		floodExp = flag.Bool("flood", false,
@@ -86,11 +79,6 @@ func main() {
 			"render a live sepetop-style dashboard of the default metrics registry to stderr while experiments run (implies -progress=false)")
 	)
 	flag.Parse()
-
-	if *noHW {
-		cpu.SetBMI2(false)
-		cpu.SetAES(false)
-	}
 
 	if *certify {
 		if err := runCertify(os.Stdout); err != nil {
@@ -110,22 +98,6 @@ func main() {
 
 	if *traffic {
 		if err := runTraffic(os.Stdout, *trafficOps, *trafficSeed); err != nil {
-			fmt.Fprintln(os.Stderr, "sepebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *parallelN != 0 {
-		if err := runParallel(*parallelN); err != nil {
-			fmt.Fprintln(os.Stderr, "sepebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *driftInj != "" {
-		if err := runDriftInject(*driftInj); err != nil {
 			fmt.Fprintln(os.Stderr, "sepebench:", err)
 			os.Exit(1)
 		}

@@ -353,7 +353,7 @@ func runTraffic(out io.Writer, ops int, seedVal uint64) error {
 			"time-to-recover through the seed-rotating adaptive lifecycle, and the " +
 			"flood key set's bucket collisions against the live seeded hash vs a " +
 			"random oracle.",
-		Command: "go run ./cmd/sepebench -traffic > BENCH_traffic.json",
+		Command: fmt.Sprintf("go run ./cmd/sepebench -traffic -traffic-ops %d -traffic-seed %d", ops, seedVal),
 		Date:    time.Now().Format("2006-01-02"),
 		Ops:     op,
 		Seed:    seedVal,
