@@ -125,9 +125,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzSynthesizedHash -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzBijectiveReject -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzSeededSynthesize -fuzztime=$(FUZZTIME) -run '^$$' .
+	$(GO) test -fuzz=FuzzCompositionOps -fuzztime=$(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz=FuzzPextHW -fuzztime=$(FUZZTIME) -run '^$$' ./internal/pext/
 	$(GO) test -fuzz=FuzzAesRoundHW -fuzztime=$(FUZZTIME) -run '^$$' ./internal/aesround/
-	$(GO) test -fuzz=FuzzShardedMapOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/shard/
 	$(GO) test -fuzz=FuzzPlanDecode -fuzztime=$(FUZZTIME) -run '^$$' ./internal/wire/
 	$(GO) test -fuzz=FuzzTableOps -fuzztime=$(FUZZTIME) -run '^$$' ./internal/container/
 	$(GO) test -fuzz=FuzzHashRequest -fuzztime=$(FUZZTIME) -run '^$$' ./cmd/sepeserve/

@@ -450,9 +450,7 @@ func (r *runner) fourDigitWorstCase() error {
 		pool[i] = fmt.Sprintf("%04d", i)
 	}
 	count := func(f func(string) uint64, shift uint, mask uint64) (bc, tc int) {
-		set := container.New(container.SetKind, f, func(h uint64, buckets int) int {
-			return int((h >> shift & mask) % uint64(buckets))
-		})
+		set := container.New(container.SetKind, func(k string) uint64 { return f(k) >> shift & mask })
 		seen := map[uint64]bool{}
 		for _, k := range pool {
 			h := f(k) >> shift & mask

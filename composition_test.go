@@ -3,6 +3,7 @@ package sepe_test
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"strings"
@@ -14,12 +15,15 @@ import (
 
 // The composition differential test drives every container the four
 // constructors can build — 4 kinds × {single-owner, Sharded(4)} ×
-// {HashFunc, *AdaptiveHash} × {plain, Observed} — with seeded op tapes
-// and compares every answer with a Go map model. Adaptive compositions
-// swap hash generations mid-tape (forced drift, then an injected
-// re-synthesis); sharded ones run four goroutines on disjoint keys, so
-// under -race the tape doubles as a concurrency probe; observed ones
-// must report exactly the operations the tape issued.
+// {STLHash, synthesized OffXor and Aes, *AdaptiveHash} ×
+// {plain, Observed} — with seeded op tapes and compares every answer
+// with a Go map model. Adaptive compositions swap hash generations
+// mid-tape (forced drift, then an injected re-synthesis); sharded ones
+// run four goroutines on disjoint keys, so under -race the tape
+// doubles as a concurrency probe; observed ones must report exactly
+// the operations the tape issued and the container's B-Coll.
+// FuzzCompositionOps replays fuzzer-chosen op tapes on one composition
+// against the same model.
 
 // cut is the container under test: one adapter per kind maps the
 // kind's methods onto a multimap-shaped surface the model can check.
@@ -333,31 +337,103 @@ func forceDrift(ah *sepe.AdaptiveHash) {
 	}
 }
 
+// compositionHashes are the HashFunc sources the non-adaptive
+// compositions run over: STLHash, and OffXor and Aes synthesized for
+// the workers' SSN key format. OffXor routes every SSN key to one
+// shard; Aes runs the AES-NI kernel, or the software round under
+// SEPE_NOHW=all or the purego tag.
+func compositionHashes(t *testing.T) []hashSource {
+	f, err := sepe.ParseRegex(`[0-9]{3}-[0-9]{2}-[0-9]{4}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth := func(fam sepe.Family) sepe.HashFunc {
+		h, err := sepe.Synthesize(f, fam)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Func()
+	}
+	return []hashSource{{"", sepe.STLHash}, {"/offxor", synth(sepe.OffXor)}, {"/aes", synth(sepe.Aes)}}
+}
+
+// hashSource is a named HashFunc; the name suffixes the subtest's.
+type hashSource struct {
+	name string
+	hash sepe.HashFunc
+}
+
 func TestCompositionDifferential(t *testing.T) {
+	hashes := compositionHashes(t)
 	for _, kind := range compositionKinds {
 		for _, sharded := range []bool{false, true} {
 			for _, adaptive := range []bool{false, true} {
-				for _, observed := range []bool{false, true} {
-					name := kind
-					if sharded {
-						name += "/sharded"
+				for _, src := range hashes {
+					if adaptive && src.name != "" {
+						continue // the adaptive hash is its own source
 					}
-					if adaptive {
-						name += "/adaptive"
+					for _, observed := range []bool{false, true} {
+						name := kind
+						if sharded {
+							name += "/sharded"
+						}
+						if adaptive {
+							name += "/adaptive"
+						}
+						name += src.name
+						if observed {
+							name += "/observed"
+						}
+						t.Run(name, func(t *testing.T) {
+							runComposition(t, kind, src.hash, sharded, adaptive, observed)
+						})
 					}
-					if observed {
-						name += "/observed"
-					}
-					t.Run(name, func(t *testing.T) {
-						runComposition(t, kind, sharded, adaptive, observed)
-					})
 				}
 			}
 		}
 	}
 }
 
-func runComposition(t *testing.T, kind string, sharded, adaptive, observed bool) {
+// checkObserved deletes one of keys from every shard they route to
+// under route — a delete flushes its shard's batched counts, and the
+// other shards saw no operation — then checks that c's metric blocks
+// in reg, merged, report exactly ops plus those deletes and the
+// container's running B-Coll.
+func checkObserved(t *testing.T, c cut, reg *sepe.MetricsRegistry, route sepe.HashFunc, keys []string, ops opCounts) {
+	t.Helper()
+	shards := c.Shards()
+	done := make([]bool, shards)
+	for _, k := range keys {
+		// A shard is picked by the hash's top log2(shards) bits; a
+		// shift by 64 selects shard 0 of one.
+		if s := route(k) >> (64 - bits.TrailingZeros(uint(shards))); !done[s] {
+			done[s] = true
+			c.del(k)
+			ops.dels++
+		}
+	}
+	var parts []sepe.ContainerSnapshot
+	for _, cs := range reg.Snapshot().Containers {
+		if cs.Name == "c" || strings.HasPrefix(cs.Name, "c.shard") {
+			parts = append(parts, cs)
+		}
+	}
+	if len(parts) != shards {
+		t.Fatalf("%d metric blocks, want %d", len(parts), shards)
+	}
+	got := sepe.MergeContainerSnapshots("c", parts)
+	if got.Puts != ops.puts || got.Gets != ops.gets || got.Deletes != ops.dels {
+		t.Fatalf("observed puts/gets/deletes = %d/%d/%d, tape issued %d/%d/%d",
+			got.Puts, got.Gets, got.Deletes, ops.puts, ops.gets, ops.dels)
+	}
+	if want := c.Stats().BucketCollisions; got.BucketCollisions != int64(want) {
+		t.Fatalf("observed B-Coll = %d, Stats %d", got.BucketCollisions, want)
+	}
+}
+
+// runComposition runs the differential tapes on one composition; hash
+// is its source unless adaptive is set.
+func runComposition(t *testing.T, kind string, hash sepe.HashFunc, sharded, adaptive, observed bool) {
 	reg := sepe.NewMetricsRegistry()
 	var opts []sepe.ContainerOption
 	workers, shards := 1, 1
@@ -370,7 +446,7 @@ func runComposition(t *testing.T, kind string, sharded, adaptive, observed bool)
 	}
 	var c cut
 	var ah *sepe.AdaptiveHash
-	route := sepe.STLHash // the hash that picks a key's shard
+	route := hash // the hash that picks a key's shard
 	if adaptive {
 		ah = swappingHash(t)
 		route = ah.Current()
@@ -475,37 +551,13 @@ func runComposition(t *testing.T, kind string, sharded, adaptive, observed bool)
 	}
 
 	if observed {
-		// A delete flushes its shard's batched counts: delete one key
-		// of every shard the tapes' keys route to (the others saw no
-		// operation), so every shard's counts are exact.
-		done := make([]bool, shards)
+		var keys []string
 		for g := range workers {
 			for i := range 300 {
-				k, s := compositionKey(g, i), 0
-				if shards > 1 {
-					s = int(route(k) >> 62)
-				}
-				if !done[s] {
-					done[s] = true
-					c.del(k)
-					ops.dels++
-				}
+				keys = append(keys, compositionKey(g, i))
 			}
 		}
-		var parts []sepe.ContainerSnapshot
-		for _, cs := range reg.Snapshot().Containers {
-			if cs.Name == "c" || strings.HasPrefix(cs.Name, "c.shard") {
-				parts = append(parts, cs)
-			}
-		}
-		if len(parts) != shards {
-			t.Fatalf("%d metric blocks, want %d", len(parts), shards)
-		}
-		got := sepe.MergeContainerSnapshots("c", parts)
-		if got.Puts != ops.puts || got.Gets != ops.gets || got.Deletes != ops.dels {
-			t.Fatalf("observed puts/gets/deletes = %d/%d/%d, tape issued %d/%d/%d",
-				got.Puts, got.Gets, got.Deletes, ops.puts, ops.gets, ops.dels)
-		}
+		checkObserved(t, c, reg, route, keys, ops)
 	}
 }
 
@@ -548,4 +600,131 @@ func TestForEachMutatingCallback(t *testing.T) {
 			t.Fatalf("%d shards, inserting ForEach: %d distinct visits, Len %d; want 1000 and 2000", m.Shards(), len(seen), m.Len())
 		}
 	}
+}
+
+// FuzzCompositionOps replays a fuzzer-chosen op tape on one
+// composition against the model, sequentially, so every divergence is
+// a correctness bug in routing, bucketing or batching rather than a
+// race. The first byte picks the kind (bits 0–1), Sharded (bit 2) and
+// Observed (bit 3), the second the shard count (1 to 16, rounded up to
+// a power of two); then every two bytes are one op and the argument
+// that names its key. The run ends by checking Len, every key's
+// values and the ForEach contents, and, observed, the exact op counts
+// and the running B-Coll.
+func FuzzCompositionOps(f *testing.F) {
+	r := rand.New(rand.NewPCG(3, 4))
+	for b0 := range 16 {
+		tape := make([]byte, 2+2*(64<<(b0%3)))
+		for i := range tape {
+			tape[i] = byte(r.Uint32())
+		}
+		tape[0] = byte(b0)
+		f.Add(tape)
+	}
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) < 2 {
+			return
+		}
+		tape = tape[:min(len(tape), 4096)]
+		kind := compositionKinds[tape[0]%4]
+		reg := sepe.NewMetricsRegistry()
+		var opts []sepe.ContainerOption
+		if tape[0]&4 != 0 {
+			opts = append(opts, sepe.Sharded(int(tape[1]%16)+1))
+		}
+		observed := tape[0]&8 != 0
+		if observed {
+			opts = append(opts, sepe.Observed(reg, "c"))
+		}
+		c := build(kind, sepe.STLHash, opts)
+		m := &model{multi: strings.HasPrefix(kind, "Multi"), valued: strings.HasSuffix(kind, "Map"), m: map[string][]int{}}
+		keyOf := func(arg int) string { return compositionKey(0, arg%48) }
+		// batch is the 1–8 keys of a batch op, stepping through the key
+		// space from arg's key.
+		batch := func(arg int) []string {
+			keys := make([]string, 1+arg%8)
+			for i := range keys {
+				keys[i] = keyOf(arg + 7*i)
+			}
+			return keys
+		}
+		var ops opCounts
+		for step := 0; 2*step+3 < len(tape); step++ {
+			op, arg := tape[2+2*step]%12, int(tape[3+2*step])
+			k := keyOf(arg)
+			switch op {
+			case 0, 1, 2:
+				if got, want := c.put(k, step), m.put(k, step); got != want {
+					t.Fatalf("step %d: put(%q) new=%v, model %v", step, k, got, want)
+				}
+				ops.puts++
+			case 3:
+				got, want := c.values(k), m.m[k]
+				if m.multi {
+					got, want = slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: values(%q) = %v, model %v", step, k, got, want)
+				}
+				ops.gets++
+			case 4:
+				if got, want := c.count(k), len(m.m[k]); got != want {
+					t.Fatalf("step %d: count(%q) = %d, model %d", step, k, got, want)
+				}
+				ops.gets++
+			case 5, 6:
+				if got, want := c.del(k), m.del(k); got != want {
+					t.Fatalf("step %d: del(%q) = %d, model %d", step, k, got, want)
+				}
+				ops.dels++
+			case 7:
+				if got, want := c.Len(), m.len(); got != want || c.Stats().Size != want {
+					t.Fatalf("step %d: Len %d, Stats.Size %d, model %d", step, got, c.Stats().Size, want)
+				}
+			case 8:
+				keys := batch(arg)
+				vals := make([]int, len(keys))
+				for i := range keys {
+					vals[i] = step*100 + i
+					m.put(keys[i], vals[i])
+				}
+				c.putBatch(keys, vals)
+				ops.puts += uint64(len(keys))
+			case 9:
+				keys := batch(arg)
+				for i, found := range c.hasBatch(keys) {
+					if want := len(m.m[keys[i]]) > 0; found != want {
+						t.Fatalf("step %d: batch lookup %q = %v, model %v", step, keys[i], found, want)
+					}
+				}
+				ops.gets += uint64(len(keys))
+			case 10:
+				c.Reserve(arg)
+			case 11:
+				if arg < 16 { // keep Clear rare so tables grow
+					c.Clear()
+					clear(m.m)
+				}
+			}
+		}
+		if got, want := c.Len(), m.len(); got != want {
+			t.Fatalf("final Len = %d, model %d", got, want)
+		}
+		for k, want := range m.m {
+			if got := c.values(k); !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want))) {
+				t.Fatalf("final values(%q) = %v, model %v", k, got, want)
+			}
+			ops.gets++
+		}
+		if got, want := snapshotEntries(c), m.entries(); !slices.Equal(got, want) {
+			t.Fatalf("final ForEach holds %v, model %v", got, want)
+		}
+		if observed {
+			keys := make([]string, 48)
+			for i := range keys {
+				keys[i] = keyOf(i)
+			}
+			checkObserved(t, c, reg, sepe.STLHash, keys, ops)
+		}
+	})
 }

@@ -112,13 +112,13 @@ func newStore[V any, S HashSource](src S, multi bool, opts []ContainerOption) st
 		c.sh = shard.NewTable[V](hash, multi, cfg.shards)
 		if cfg.reg != nil {
 			ms := cfg.reg.NewContainerShards(cfg.name, c.sh.Shards())
-			c.sh.SetShardHooks(func(i int) *container.Hooks { return containerHooks(ms[i], true) })
+			c.sh.SetShardObservers(func(i int) container.Observer { return telemetry.NewShardContainerOps(ms[i]) })
 		}
 		m = c.sh
 	} else {
-		c.t = container.NewTable[V](hash, nil, multi)
+		c.t = container.NewTable[V](hash, multi)
 		if cfg.reg != nil {
-			c.t.SetHooks(containerHooks(cfg.reg.NewContainer(cfg.name), false))
+			c.t.SetObserver(telemetry.NewBatchedContainerOps(cfg.reg.NewContainer(cfg.name)))
 		}
 		m = c.t
 	}

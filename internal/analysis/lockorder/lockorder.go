@@ -19,9 +19,9 @@
 //     ranked lock is held hands control to code outside the order —
 //     the shape of the shard→callback deadlock PR 5 fixed. Only func
 //     parameters count as callbacks: func values read from struct
-//     fields (container hooks, wired instrumentation) are internal
-//     plumbing whose no-lock discipline is the declaring package's
-//     contract, and locally bound literals are package code.
+//     fields (wired instrumentation) are internal plumbing whose
+//     no-lock discipline is the declaring package's contract, and
+//     locally bound literals are package code.
 //
 // The analysis is syntactic and flow-approximate in the same way
 // lockcheck is: the held set threads through straight-line flow,

@@ -194,7 +194,7 @@ func LowMixing(f hashes.Func, t keys.Type, d keys.Distribution, discards []uint,
 	pool := keys.NewGenerator(t, d, 0xBEEF).Distinct(n)
 	var out []LowMixingPoint
 	for _, x := range discards {
-		c := container.New(container.SetKind, f, container.HighBitsIndexer(x))
+		c := container.New(container.SetKind, func(k string) uint64 { return f(k) >> x })
 		seen := make(map[uint64]struct{}, n)
 		tc := 0
 		for _, k := range pool {

@@ -267,22 +267,36 @@ func TestHashScalingLinear(t *testing.T) {
 
 func TestLowMixingShape(t *testing.T) {
 	// RQ7: OffXor degrades as low bits are discarded; STL resists.
-	offxor, err := HashFor(OffXor, keys.SSN, core.TargetX86)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stl, err := HashFor(STL, keys.SSN, core.TargetX86)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// At 48 discarded bits only the top 16 bits index buckets. OffXor's
 	// top bytes are xors of ASCII digits whose constant 0x3 nibbles
 	// cancel, leaving ~8 bits of entropy; STL's top bits are fully
 	// mixed. (At 56 bits both saturate — 2000 keys into ≤ 256 slots —
-	// which is why the comparison point is 48.)
-	discards := []uint{0, 32, 48}
-	po := LowMixing(offxor, keys.SSN, keys.Uniform, discards, 2000)
-	ps := LowMixing(stl, keys.SSN, keys.Uniform, discards, 2000)
+	// which is why the comparison point is 48.) The counts depend only
+	// on the keys, the hash and the bucket arithmetic, so they are
+	// pinned, and the same on every CPU tier.
+	discards := []uint{0, 32, 48, 56}
+	sweep := map[HashName][]LowMixingPoint{}
+	for _, c := range []struct {
+		name         HashName
+		bcoll, tcoll []int
+	}{
+		{STL, []int{731, 723, 716, 1744}, []int{0, 0, 35, 1744}},
+		{OffXor, []int{720, 716, 1840, 1984}, []int{0, 82, 1840, 1984}},
+		{Pext, []int{707, 1207, 1207, 1900}, []int{0, 1133, 1133, 1900}},
+	} {
+		f, err := HashFor(c.name, keys.SSN, core.TargetX86)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep[c.name] = LowMixing(f, keys.SSN, keys.Uniform, discards, 2000)
+		for i, p := range sweep[c.name] {
+			if p.Discard != discards[i] || p.BColl != c.bcoll[i] || p.TColl != c.tcoll[i] {
+				t.Errorf("%s, %d bits discarded: BColl %d TColl %d, want %d %d",
+					c.name, discards[i], p.BColl, p.TColl, c.bcoll[i], c.tcoll[i])
+			}
+		}
+	}
+	po, ps := sweep[OffXor], sweep[STL]
 	if po[2].TColl <= po[0].TColl {
 		t.Errorf("OffXor TColl must grow with discarded bits: %+v", po)
 	}

@@ -77,9 +77,6 @@ type Config struct {
 	Spread       int
 	Mode         Mode
 	Affectations int
-	// Indexer overrides the bucket policy (nil = modulo); RQ7's
-	// low-mixing experiments install HighBitsIndexer here.
-	Indexer container.Indexer
 	// Seed makes runs reproducible; sample indices perturb it.
 	Seed uint64
 }
@@ -123,7 +120,7 @@ func Run(cfg Config, hash hashes.Func) Result {
 	r := rng.New(cfg.Seed*0x9E3779B97F4A7C15 + 1)
 
 	// The measured affectation loop.
-	c := container.New(cfg.Structure, hash, cfg.Indexer)
+	c := container.New(cfg.Structure, hash)
 	var res Result
 	start := time.Now()
 	if cfg.Mode == Batched {
@@ -145,7 +142,7 @@ func Run(cfg Config, hash hashes.Func) Result {
 	_ = sink
 
 	seen := make(map[uint64]struct{}, CollisionKeys)
-	cc := container.New(cfg.Structure, hash, cfg.Indexer)
+	cc := container.New(cfg.Structure, hash)
 	for _, k := range collPool[:CollisionKeys] {
 		h := hash(k)
 		if _, dup := seen[h]; dup {

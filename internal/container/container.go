@@ -25,8 +25,9 @@
 // math.MaxInt32 entries; a sharded container's limit is that times its
 // shard count.
 //
-// The Indexer hook reproduces RQ7's "low-mixing container": an indexer
-// that discards low-order hash bits before the modulo.
+// The bucket is always hash % bucket_count. RQ7's "low-mixing
+// container", which drops low-order hash bits before the modulo, is a
+// property of the hash the table is given: its callers shift the hash.
 package container
 
 import (
@@ -35,60 +36,30 @@ import (
 	"github.com/sepe-go/sepe/internal/hashes"
 )
 
-// Indexer maps a 64-bit hash to a bucket in [0, buckets).
-type Indexer func(hash uint64, buckets int) int
-
-// ModIndexer is the libstdc++ policy: hash % buckets.
-func ModIndexer(hash uint64, buckets int) int {
-	return int(hash % uint64(buckets))
-}
-
-// HighBitsIndexer returns RQ7's low-mixing policy: the low `discard`
-// bits of the hash are dropped before the modulo, so only the
-// 64-discard most significant bits select the bucket.
-func HighBitsIndexer(discard uint) Indexer {
-	return func(hash uint64, buckets int) int {
-		return int((hash >> discard) % uint64(buckets))
-	}
-}
-
-// Hooks observes table operations for the telemetry layer. Every
-// field is optional; a table with a nil Hooks pointer pays exactly one
-// pointer comparison per operation and allocates nothing, so the
-// containers stay measurement-grade when observation is off. The
-// callbacks receive the operated-on key plus plain ints —
-// implementations must not retain the key or allocate on the hot path
-// (the telemetry layer's exemplars copy a key only when it sets a new
-// maximum).
+// Observer receives a table's operations for the telemetry layer. A
+// table with a nil Observer pays one comparison per operation and
+// allocates nothing, so the containers stay measurement-grade when
+// observation is off. Implementations must not retain the key or
+// allocate on the hot path (the telemetry layer's exemplars copy a key
+// only when it sets a new maximum).
 //
-// Probe counts are the number of chain entries examined by the
-// operation — the runtime counterpart of the offline MaxBucketLen
-// measurement. Collision deltas maintain the paper's B-Coll
-// incrementally: +1 when an insert lands in an occupied bucket,
-// negative when an erase shortens a shared chain, and an exact recount
-// after each rehash (OnRehash's second argument).
-type Hooks struct {
-	// OnPut fires after an insert or replace of key: probes entries
-	// were examined, and the bucket-collision count changed by
-	// collDelta (0 or 1).
-	OnPut func(key string, probes, collDelta int)
-	// OnGet fires after a lookup of key (get, count, multimap GetAll).
-	OnGet func(key string, probes int, found bool)
-	// OnDelete fires after an erase of key: probes entries examined,
-	// removed entries deleted, collision count changed by collDelta
-	// (≤ 0).
-	OnDelete func(key string, probes, removed, collDelta int)
-	// OnRehash fires after the table rebuckets (growth or reserve),
-	// with the new bucket count and an exact bucket-collision recount.
-	OnRehash func(buckets, bucketCollisions int)
-	// OnClear fires after the table is emptied.
-	OnClear func()
-	// OnMigrateStart fires when RehashInto retires the current region:
-	// retired buckets will drain into fresh new ones.
-	OnMigrateStart func(retired, fresh int)
-	// OnMigrateDone fires when the last retired bucket has drained,
-	// before the completion recount's OnRehash.
-	OnMigrateDone func(buckets int)
+// probes is the number of chain entries an operation examined — the
+// runtime counterpart of the offline MaxBucketLen measurement.
+// collDelta maintains the paper's B-Coll incrementally: +1 when an
+// insert lands in an occupied bucket (else 0), ≤ 0 when an erase
+// shortens a shared chain, and Rehash hands over an exact recount
+// after every rebucketing (growth, reserve, a migration's end). Get
+// covers get, count and GetAll; MigrateStart reports the retired and
+// fresh bucket counts of a migration, MigrateDone the final one,
+// before the completion recount's Rehash.
+type Observer interface {
+	Put(key string, probes, collDelta int)
+	Get(key string, probes int)
+	Delete(key string, probes, collDelta int)
+	Rehash(bucketCollisions int)
+	Clear()
+	MigrateStart(retired, fresh int)
+	MigrateDone(buckets int)
 }
 
 // initialBuckets is the starting bucket count (libstdc++ starts at a
@@ -126,14 +97,13 @@ type entry[V any] struct {
 // of them behind locks.
 type Table[V any] struct {
 	hash  hashes.Func
-	index Indexer
 	heads []int32
 	ents  []entry[V]
 	links []int32
 	free  int32 // first erased slot, -1 when none
 	size  int
 	multi bool
-	hooks *Hooks
+	obs   Observer
 
 	// Migration state: nil/empty when no migration is in progress.
 	oldHash  hashes.Func
@@ -147,15 +117,11 @@ type Table[V any] struct {
 	swapped bool
 }
 
-// NewTable returns an empty table over hash; a nil index selects the
-// libstdc++ modulo policy, and multi keeps duplicate keys.
-func NewTable[V any](hash hashes.Func, index Indexer, multi bool) *Table[V] {
-	if index == nil {
-		index = ModIndexer
-	}
+// NewTable returns an empty table over hash; multi keeps duplicate
+// keys.
+func NewTable[V any](hash hashes.Func, multi bool) *Table[V] {
 	return &Table[V]{
 		hash:  hash,
-		index: index,
 		heads: emptyBuckets(make([]int32, initialBuckets)),
 		free:  -1,
 		multi: multi,
@@ -170,13 +136,13 @@ func emptyBuckets(heads []int32) []int32 {
 	return heads
 }
 
-func (t *Table[V]) bucketOf(h uint64) int { return t.index(h, len(t.heads)) }
+func (t *Table[V]) bucketOf(h uint64) uint64 { return h % uint64(len(t.heads)) }
 
 // oldHead returns the retired-region bucket for key, with the hash its
 // entries were stored under. Only valid while migrating.
 func (t *Table[V]) oldHead(key string) (*int32, uint64) {
 	oh := t.oldHash(key)
-	return &t.old[t.index(oh, len(t.old))], oh
+	return &t.old[oh%uint64(len(t.old))], oh
 }
 
 // slot returns n as the index of a new slot, panicking at the
@@ -265,24 +231,20 @@ func (t *Table[V]) put(h uint64, key string, val V) bool {
 		}
 		if i >= 0 {
 			t.ents[i].val = val
-			if t.hooks != nil && t.hooks.OnPut != nil {
-				t.hooks.OnPut(key, probes, 0)
+			if t.obs != nil {
+				t.obs.Put(key, probes, 0)
 			}
 			return false
 		}
 	}
 	before := t.linkTail(&t.heads[b], t.alloc(entry[V]{hash: h, key: key, val: val}))
 	t.size++
-	if t.hooks != nil && t.hooks.OnPut != nil {
+	if t.obs != nil {
 		probes := before
 		if t.multi {
 			probes = 0 // multi inserts append without comparing keys
 		}
-		delta := 0
-		if before > 0 {
-			delta = 1
-		}
-		t.hooks.OnPut(key, probes, delta)
+		t.obs.Put(key, probes, min(before, 1))
 	}
 	if t.size > len(t.heads) { // max load factor 1, as libstdc++
 		t.rehash(nextBucketCount(len(t.heads)))
@@ -296,8 +258,8 @@ func (t *Table[V]) get(h uint64, key string) (V, bool) {
 	if i < 0 && t.old != nil {
 		i, probes = t.findOld(key, probes)
 	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, i >= 0)
+	if t.obs != nil {
+		t.obs.Get(key, probes)
 	}
 	if i < 0 {
 		var zero V
@@ -323,7 +285,7 @@ func (t *Table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, 
 }
 
 // gatherAll is gather over key's chains in both regions, reported to
-// OnGet as one lookup. It returns the matches.
+// the observer as one lookup. It returns the matches.
 func (t *Table[V]) gatherAll(h uint64, key string, out *[]V) int {
 	matches, probes := t.gather(t.heads[t.bucketOf(h)], h, key, out)
 	if t.old != nil {
@@ -331,8 +293,8 @@ func (t *Table[V]) gatherAll(h uint64, key string, out *[]V) int {
 		m, p := t.gather(*head, oh, key, out)
 		matches, probes = matches+m, probes+p
 	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, matches > 0)
+	if t.obs != nil {
+		t.obs.Get(key, probes)
 	}
 	return matches
 }
@@ -383,8 +345,8 @@ func (t *Table[V]) del(h uint64, key string) int {
 		collDelta += c
 	}
 	t.size -= removed
-	if t.hooks != nil && t.hooks.OnDelete != nil {
-		t.hooks.OnDelete(key, probes, removed, collDelta)
+	if t.obs != nil {
+		t.obs.Delete(key, probes, collDelta)
 	}
 	return removed
 }
@@ -413,11 +375,11 @@ func (t *Table[V]) rehash(n int) {
 			i = next
 		}
 	}
-	if t.hooks != nil && t.hooks.OnRehash != nil {
+	if t.obs != nil {
 		// Rebucketing invalidates any incremental collision tracking;
 		// hand the observer an exact recount (O(buckets), dwarfed by
 		// the O(n) rehash itself).
-		t.hooks.OnRehash(len(t.heads), t.bucketCollisions())
+		t.obs.Rehash(t.bucketCollisions())
 	}
 }
 
@@ -446,8 +408,8 @@ func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	t.drainPos = 0
 	t.hash = newHash
 	t.heads = emptyBuckets(make([]int32, nextPrime(max(2*t.size+1, initialBuckets))))
-	if t.hooks != nil && t.hooks.OnMigrateStart != nil {
-		t.hooks.OnMigrateStart(len(t.old), len(t.heads))
+	if t.obs != nil {
+		t.obs.MigrateStart(len(t.old), len(t.heads))
 	}
 }
 
@@ -477,11 +439,9 @@ func (t *Table[V]) drain(k int) bool {
 	// Migration complete: drop the retired region and let observers
 	// recount, exactly as after a normal rehash.
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
-	if t.hooks != nil && t.hooks.OnMigrateDone != nil {
-		t.hooks.OnMigrateDone(len(t.heads))
-	}
-	if t.hooks != nil && t.hooks.OnRehash != nil {
-		t.hooks.OnRehash(len(t.heads), t.bucketCollisions())
+	if t.obs != nil {
+		t.obs.MigrateDone(len(t.heads))
+		t.obs.Rehash(t.bucketCollisions())
 	}
 	if t.size > len(t.heads) {
 		t.rehash(nextBucketCount(len(t.heads)))
@@ -506,8 +466,8 @@ func (t *Table[V]) clear() {
 	t.ents, t.links, t.free = t.ents[:0], t.links[:0], -1
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
 	t.size = 0
-	if t.hooks != nil && t.hooks.OnClear != nil {
-		t.hooks.OnClear()
+	if t.obs != nil {
+		t.obs.Clear()
 	}
 }
 

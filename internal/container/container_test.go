@@ -9,7 +9,7 @@ import (
 )
 
 func TestMapBasics(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	if _, ok := m.Get("missing"); ok {
 		t.Error("empty map must miss")
 	}
@@ -37,7 +37,7 @@ func TestMapBasics(t *testing.T) {
 }
 
 func TestMapManyKeysWithRehash(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("key-%06d", i), i)
@@ -76,7 +76,7 @@ func TestMapManyKeysWithRehash(t *testing.T) {
 // random operation sequence (the model-based test).
 func TestMapMatchesBuiltin(t *testing.T) {
 	f := func(ops []uint16) bool {
-		m := NewTable[int](hashes.FNV, nil, false)
+		m := NewTable[int](hashes.FNV, false)
 		ref := make(map[string]int)
 		for i, op := range ops {
 			key := fmt.Sprintf("k%d", op%64)
@@ -110,7 +110,7 @@ func TestMapMatchesBuiltin(t *testing.T) {
 }
 
 func TestSetBasics(t *testing.T) {
-	s := NewTable[struct{}](hashes.City, nil, false)
+	s := NewTable[struct{}](hashes.City, false)
 	if !s.Put("x", struct{}{}) || s.Put("x", struct{}{}) {
 		t.Error("Add new/dup semantics wrong")
 	}
@@ -123,7 +123,7 @@ func TestSetBasics(t *testing.T) {
 }
 
 func TestMultiMapDuplicates(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, true)
+	m := NewTable[int](hashes.STL, true)
 	m.Put("k", 1)
 	m.Put("k", 2)
 	m.Put("k", 3)
@@ -151,7 +151,7 @@ func TestMultiMapDuplicates(t *testing.T) {
 }
 
 func TestMultiSetCounts(t *testing.T) {
-	s := NewTable[struct{}](hashes.STL, nil, true)
+	s := NewTable[struct{}](hashes.STL, true)
 	for i := 0; i < 5; i++ {
 		s.Insert("dup")
 	}
@@ -164,7 +164,7 @@ func TestMultiSetCounts(t *testing.T) {
 }
 
 func TestMultiMapRehashKeepsDuplicates(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, true)
+	m := NewTable[int](hashes.STL, true)
 	for i := 0; i < 2000; i++ {
 		m.Put(fmt.Sprintf("k%d", i%100), i)
 	}
@@ -180,7 +180,7 @@ func TestMultiMapRehashKeepsDuplicates(t *testing.T) {
 
 func TestNewCoversAllKinds(t *testing.T) {
 	for _, k := range Kinds {
-		c := New(k, hashes.STL, nil)
+		c := New(k, hashes.STL)
 		c.Insert("a")
 		c.Insert("a")
 		if !c.Search("a") {
@@ -210,7 +210,7 @@ func TestBucketCollisionsCounted(t *testing.T) {
 	// A constant hash forces every key into one bucket: n keys → n−1
 	// bucket collisions and a max chain of n.
 	worst := func(string) uint64 { return 42 }
-	m := NewTable[int](worst, nil, false)
+	m := NewTable[int](worst, false)
 	const n = 10
 	for i := 0; i < n; i++ {
 		m.Put(fmt.Sprintf("k%d", i), i)
@@ -230,22 +230,10 @@ func TestBucketCollisionsCounted(t *testing.T) {
 	}
 }
 
-func TestHighBitsIndexer(t *testing.T) {
-	// With 56 low bits discarded, hashes differing only in low bits
-	// land in the same bucket.
-	idx := HighBitsIndexer(56)
-	if idx(0x01, 100) != idx(0x02, 100) {
-		t.Error("low bits must be discarded")
-	}
-	if idx(0x0100000000000000, 100) == idx(0x0200000000000000, 100) {
-		t.Error("high bits must be used")
-	}
-}
-
 func TestLowMixingContainerDegrades(t *testing.T) {
 	// RQ7's effect: an identity-like hash (sequential values) has all
-	// entropy in the low bits; a high-bits indexer collapses every key
-	// into one bucket while the modulo indexer spreads them.
+	// entropy in the low bits; discarding them collapses every key
+	// into one bucket while the full hash spreads them.
 	seq := func(k string) uint64 {
 		var v uint64
 		for i := 0; i < len(k); i++ {
@@ -253,8 +241,8 @@ func TestLowMixingContainerDegrades(t *testing.T) {
 		}
 		return v
 	}
-	normal := NewTable[int](seq, nil, false)
-	lowmix := NewTable[int](seq, HighBitsIndexer(48), false)
+	normal := NewTable[int](seq, false)
+	lowmix := NewTable[int](func(k string) uint64 { return seq(k) >> 48 }, false)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("%06d", i)
 		normal.Put(key, i)
@@ -262,7 +250,7 @@ func TestLowMixingContainerDegrades(t *testing.T) {
 	}
 	ns, ls := normal.Stats(), lowmix.Stats()
 	if ns.BucketCollisions > 100 {
-		t.Errorf("modulo indexer collisions = %d, want few", ns.BucketCollisions)
+		t.Errorf("full-hash collisions = %d, want few", ns.BucketCollisions)
 	}
 	if ls.BucketCollisions != 999 {
 		t.Errorf("low-mixing collisions = %d, want 999 (all in one bucket)", ls.BucketCollisions)
@@ -270,7 +258,7 @@ func TestLowMixingContainerDegrades(t *testing.T) {
 }
 
 func TestForEachVisitsAll(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	want := map[string]int{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -320,7 +308,7 @@ func BenchmarkMapInsertSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := NewTable[int](hashes.STL, nil, false)
+		m := NewTable[int](hashes.STL, false)
 		for j, k := range keysList {
 			m.Put(k, j)
 		}
@@ -337,7 +325,7 @@ func BenchmarkMapInsertSearch(b *testing.B) {
 }
 
 func TestReserveAvoidsRehash(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	m.Reserve(5000)
 	before := m.Stats().Buckets
 	if before < 5000 || !isPrime(before) {
@@ -357,7 +345,7 @@ func TestReserveAvoidsRehash(t *testing.T) {
 }
 
 func TestLoadFactorAndClear(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	if m.LoadFactor() != 0 {
 		t.Error("empty load factor must be 0")
 	}
@@ -383,7 +371,7 @@ func TestLoadFactorAndClear(t *testing.T) {
 }
 
 func TestSetReserveClear(t *testing.T) {
-	s := NewTable[struct{}](hashes.STL, nil, false)
+	s := NewTable[struct{}](hashes.STL, false)
 	s.Reserve(1000)
 	for i := 0; i < 1000; i++ {
 		s.Insert(fmt.Sprintf("m%d", i))

@@ -54,19 +54,18 @@ type Container interface {
 	Stats() Stats
 }
 
-// New builds a container of the given kind over a hash function; a nil
-// indexer selects the libstdc++ modulo policy. Maps carry int values,
-// sets carry none.
-func New(k Kind, hash hashes.Func, index Indexer) Container {
+// New builds a container of the given kind over a hash function. Maps
+// carry int values, sets carry none.
+func New(k Kind, hash hashes.Func) Container {
 	switch k {
 	case MapKind:
-		return NewTable[int](hash, index, false)
+		return NewTable[int](hash, false)
 	case SetKind:
-		return NewTable[struct{}](hash, index, false)
+		return NewTable[struct{}](hash, false)
 	case MultiMapKind:
-		return NewTable[int](hash, index, true)
+		return NewTable[int](hash, true)
 	case MultiSetKind:
-		return NewTable[struct{}](hash, index, true)
+		return NewTable[struct{}](hash, true)
 	default:
 		panic("container: unknown kind")
 	}
@@ -120,8 +119,8 @@ func (t *Table[V]) LoadFactor() float64 { return t.loadFactor() }
 // Clear removes every entry, keeping the bucket array.
 func (t *Table[V]) Clear() { t.clear() }
 
-// SetHooks installs (or, with nil, removes) observation hooks.
-func (t *Table[V]) SetHooks(h *Hooks) { t.hooks = h }
+// SetObserver installs (or, with nil, removes) the table's observer.
+func (t *Table[V]) SetObserver(o Observer) { t.obs = o }
 
 // Snapshot appends every entry to keys and vals, in iteration order,
 // and returns the extended slices. Callers iterate the copy, so their

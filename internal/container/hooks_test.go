@@ -10,47 +10,50 @@ import (
 	"github.com/sepe-go/sepe/internal/hashes"
 )
 
-// hookRecorder tracks every hook event plus an incremental B-Coll, the
-// way the telemetry layer consumes the hooks.
+// hookRecorder is an Observer tracking every event plus an
+// incremental B-Coll, the way the telemetry layer consumes them.
 type hookRecorder struct {
 	puts, gets, deletes, rehashes, clears int
 	probes                                []int
 	bcoll                                 int
 }
 
-func (r *hookRecorder) hooks() *Hooks {
-	return &Hooks{
-		OnPut: func(_ string, probes, delta int) {
-			r.puts++
-			r.probes = append(r.probes, probes)
-			r.bcoll += delta
-		},
-		OnGet: func(_ string, probes int, found bool) {
-			r.gets++
-			r.probes = append(r.probes, probes)
-		},
-		OnDelete: func(_ string, probes, removed, delta int) {
-			r.deletes++
-			r.bcoll += delta
-		},
-		OnRehash: func(buckets, bcoll int) {
-			r.rehashes++
-			r.bcoll = bcoll
-		},
-		OnClear: func() {
-			r.clears++
-			r.bcoll = 0
-		},
-	}
+func (r *hookRecorder) Put(_ string, probes, delta int) {
+	r.puts++
+	r.probes = append(r.probes, probes)
+	r.bcoll += delta
 }
+
+func (r *hookRecorder) Get(_ string, probes int) {
+	r.gets++
+	r.probes = append(r.probes, probes)
+}
+
+func (r *hookRecorder) Delete(_ string, _, delta int) {
+	r.deletes++
+	r.bcoll += delta
+}
+
+func (r *hookRecorder) Rehash(bcoll int) {
+	r.rehashes++
+	r.bcoll = bcoll
+}
+
+func (r *hookRecorder) Clear() {
+	r.clears++
+	r.bcoll = 0
+}
+
+func (r *hookRecorder) MigrateStart(int, int) {}
+func (r *hookRecorder) MigrateDone(int)       {}
 
 // TestHooksTrackBucketCollisions drives a map through inserts, lookups,
 // deletes, rehashes and Clear, checking the incrementally-maintained
 // B-Coll against Stats' authoritative recount at every step.
 func TestHooksTrackBucketCollisions(t *testing.T) {
 	rec := &hookRecorder{}
-	m := NewTable[int](hashes.STL, nil, false)
-	m.SetHooks(rec.hooks())
+	m := NewTable[int](hashes.STL, false)
+	m.SetObserver(rec)
 
 	check := func(stage string) {
 		t.Helper()
@@ -91,8 +94,8 @@ func TestHooksTrackBucketCollisions(t *testing.T) {
 // without inventing a collision.
 func TestHooksReplacePath(t *testing.T) {
 	rec := &hookRecorder{}
-	m := NewTable[int](hashes.STL, nil, false)
-	m.SetHooks(rec.hooks())
+	m := NewTable[int](hashes.STL, false)
+	m.SetObserver(rec)
 	m.Put("a", 1)
 	before := rec.bcoll
 	m.Put("a", 2) // replace: no new entry, no collision delta
@@ -111,8 +114,8 @@ func TestHooksReplacePath(t *testing.T) {
 // share a bucket, so each duplicate insert is a collision delta.
 func TestHooksMultiContainers(t *testing.T) {
 	rec := &hookRecorder{}
-	mm := NewTable[int](hashes.STL, nil, true)
-	mm.SetHooks(rec.hooks())
+	mm := NewTable[int](hashes.STL, true)
+	mm.SetObserver(rec)
 	for i := 0; i < 4; i++ {
 		mm.Put("dup", i)
 	}
@@ -123,16 +126,16 @@ func TestHooksMultiContainers(t *testing.T) {
 		t.Fatalf("GetAll = %v", got)
 	}
 	if rec.gets != 1 {
-		t.Fatalf("GetAll did not fire OnGet: %d", rec.gets)
+		t.Fatalf("GetAll did not report a Get: %d", rec.gets)
 	}
 	mm.Clear()
 	if mm.Len() != 0 || rec.bcoll != 0 {
 		t.Fatalf("after Clear: len=%d bcoll=%d", mm.Len(), rec.bcoll)
 	}
 
-	ms := NewTable[struct{}](hashes.STL, nil, true)
+	ms := NewTable[struct{}](hashes.STL, true)
 	rec2 := &hookRecorder{}
-	ms.SetHooks(rec2.hooks())
+	ms.SetObserver(rec2)
 	ms.Insert("x")
 	ms.Insert("x")
 	if got := ms.Stats().BucketCollisions; got != rec2.bcoll {
@@ -144,29 +147,29 @@ func TestHooksMultiContainers(t *testing.T) {
 	}
 }
 
-// TestHooksReserveRehash verifies Reserve fires the rehash hook with an
+// TestHooksReserveRehash verifies Reserve reports a Rehash with an
 // exact recount.
 func TestHooksReserveRehash(t *testing.T) {
 	rec := &hookRecorder{}
-	s := NewTable[struct{}](hashes.STL, nil, false)
-	s.SetHooks(rec.hooks())
+	s := NewTable[struct{}](hashes.STL, false)
+	s.SetObserver(rec)
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("k%d", i), struct{}{})
 	}
 	s.Reserve(1000)
 	if rec.rehashes == 0 {
-		t.Fatal("Reserve did not fire OnRehash")
+		t.Fatal("Reserve did not report a Rehash")
 	}
 	if got := s.Stats().BucketCollisions; got != rec.bcoll {
 		t.Fatalf("after Reserve: incremental %d, recount %d", rec.bcoll, got)
 	}
 }
 
-// TestNilHooksZeroAlloc asserts the disabled-telemetry path allocates
+// TestNilHooksZeroAlloc asserts the nil-observer path allocates
 // nothing per operation beyond the table's own storage, including
 // re-inserts that reuse erased slots and refills after Clear.
 func TestNilHooksZeroAlloc(t *testing.T) {
-	m := NewTable[int](hashes.STL, nil, false)
+	m := NewTable[int](hashes.STL, false)
 	m.Reserve(1024)
 	keys := make([]string, 512)
 	for i := range keys {
@@ -198,7 +201,7 @@ func TestNilHooksZeroAlloc(t *testing.T) {
 	}
 	for _, o := range ops {
 		if allocs := testing.AllocsPerRun(100, o.op); allocs != 0 {
-			t.Errorf("%s with nil hooks allocates %.1f/op", o.name, allocs)
+			t.Errorf("%s with a nil observer allocates %.1f/op", o.name, allocs)
 		}
 	}
 	if m.Len() != len(keys) {
@@ -211,7 +214,7 @@ func TestNilHooksZeroAlloc(t *testing.T) {
 // entries they relink.
 func TestRehashAllocsIndependentOfSize(t *testing.T) {
 	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
-		tab := NewTable[int](hashes.STL, nil, false)
+		tab := NewTable[int](hashes.STL, false)
 		for i := 0; i < n; i++ {
 			k := migKey(i)
 			tab.put(tab.hash(k), k, i)
@@ -237,7 +240,7 @@ func TestRehashAllocsIndependentOfSize(t *testing.T) {
 // holds no key or value, and inserts fill erased slots before growing
 // the entry array.
 func TestErasedSlotsZeroedAndReused(t *testing.T) {
-	tab := NewTable[int](hashes.STL, nil, false)
+	tab := NewTable[int](hashes.STL, false)
 	for i := 0; i < 100; i++ {
 		k := migKey(i)
 		tab.put(tab.hash(k), k, i+1)

@@ -20,7 +20,7 @@ func weakHash(key string) uint64 {
 }
 
 func TestMapMigrationPreservesEntries(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const n = 1000
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
@@ -59,7 +59,7 @@ func TestMapMigrationPreservesEntries(t *testing.T) {
 }
 
 func TestMapPutExistingDuringMigrationNoDuplicate(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const n = 200
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
@@ -88,7 +88,7 @@ func TestMapPutExistingDuringMigrationNoDuplicate(t *testing.T) {
 }
 
 func TestMapDeleteOldRegionKeyDuringMigration(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const n = 100
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
@@ -113,7 +113,7 @@ func TestMapDeleteOldRegionKeyDuringMigration(t *testing.T) {
 }
 
 func TestMultiMapDuplicatesSurviveMigration(t *testing.T) {
-	m := NewTable[int](weakHash, nil, true)
+	m := NewTable[int](weakHash, true)
 	const n = 50
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
@@ -143,8 +143,8 @@ func TestMultiMapDuplicatesSurviveMigration(t *testing.T) {
 }
 
 func TestSetAndMultiSetMigration(t *testing.T) {
-	s := NewTable[struct{}](weakHash, nil, false)
-	ms := NewTable[struct{}](weakHash, nil, true)
+	s := NewTable[struct{}](weakHash, false)
+	ms := NewTable[struct{}](weakHash, true)
 	const n = 300
 	for i := 0; i < n; i++ {
 		s.Insert(migKey(i))
@@ -171,7 +171,7 @@ func TestSetAndMultiSetMigration(t *testing.T) {
 }
 
 func TestBeginMigrationWhileMigratingFinishesFirst(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const n = 100
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)
@@ -192,7 +192,7 @@ func TestBeginMigrationWhileMigratingFinishesFirst(t *testing.T) {
 }
 
 func TestClearDuringMigrationEndsIt(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	for i := 0; i < 100; i++ {
 		m.Put(migKey(i), i)
 	}
@@ -214,7 +214,7 @@ func TestClearDuringMigrationEndsIt(t *testing.T) {
 func TestMigrationGrowthDuringDrain(t *testing.T) {
 	// Inserting heavily while a migration drains must still trigger
 	// load-factor growth of the live region without losing entries.
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const base = 64
 	for i := 0; i < base; i++ {
 		m.Put(migKey(i), i)
@@ -241,7 +241,7 @@ func TestMigrationGrowthDuringDrain(t *testing.T) {
 }
 
 func TestMigrationStatsAndForEachSeeBothRegions(t *testing.T) {
-	m := NewTable[int](weakHash, nil, false)
+	m := NewTable[int](weakHash, false)
 	const n = 128
 	for i := 0; i < n; i++ {
 		m.Put(migKey(i), i)

@@ -6,7 +6,7 @@ import "github.com/sepe-go/sepe/internal/hashes"
 // the oracle FuzzTableOps compares the flat table against: one
 // []entry slice per bucket, appended to on insert, compacted on erase
 // and rebuilt on every rehash and migration drain. Only the type and
-// helper names differ from the original.
+// helper names and the observer calls differ from the original.
 //
 // During a live migration (rehashInto) the table holds two bucket
 // regions: `buckets` indexed by the new hash function, and `old`
@@ -15,11 +15,10 @@ import "github.com/sepe-go/sepe/internal/hashes"
 // functions under load without a stop-the-world rehash.
 type refTable[V any] struct {
 	hash    hashes.Func
-	index   Indexer
 	buckets [][]entry[V]
 	size    int
 	multi   bool
-	hooks   *Hooks
+	obs     Observer
 
 	// Migration state: nil/empty when no migration is in progress.
 	oldHash  hashes.Func
@@ -27,25 +26,21 @@ type refTable[V any] struct {
 	drainPos int
 }
 
-func newRefTable[V any](hash hashes.Func, index Indexer, multi bool) *refTable[V] {
-	if index == nil {
-		index = ModIndexer
-	}
+func newRefTable[V any](hash hashes.Func, multi bool) *refTable[V] {
 	return &refTable[V]{
 		hash:    hash,
-		index:   index,
 		buckets: make([][]entry[V], initialBuckets),
 		multi:   multi,
 	}
 }
 
-func (t *refTable[V]) bucketOf(h uint64) int { return t.index(h, len(t.buckets)) }
+func (t *refTable[V]) bucketOf(h uint64) uint64 { return h % uint64(len(t.buckets)) }
 
 // oldBucket returns the retired-region chain for key, with the hash
 // the chain's entries were stored under. Only valid while migrating.
 func (t *refTable[V]) oldBucket(key string) (*[]entry[V], uint64) {
 	oh := t.oldHash(key)
-	return &t.old[t.index(oh, len(t.old))], oh
+	return &t.old[oh%uint64(len(t.old))], oh
 }
 
 // put inserts key→val under its precomputed hash h (h must equal
@@ -60,8 +55,8 @@ func (t *refTable[V]) put(h uint64, key string, val V) bool {
 		for i := range chain {
 			if chain[i].hash == h && chain[i].key == key {
 				chain[i].val = val
-				if t.hooks != nil && t.hooks.OnPut != nil {
-					t.hooks.OnPut(key, i+1, 0)
+				if t.obs != nil {
+					t.obs.Put(key, i+1, 0)
 				}
 				return false
 			}
@@ -74,8 +69,8 @@ func (t *refTable[V]) put(h uint64, key string, val V) bool {
 			for i := range *ochain {
 				if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
 					(*ochain)[i].val = val
-					if t.hooks != nil && t.hooks.OnPut != nil {
-						t.hooks.OnPut(key, len(chain)+i+1, 0)
+					if t.obs != nil {
+						t.obs.Put(key, len(chain)+i+1, 0)
 					}
 					return false
 				}
@@ -85,7 +80,7 @@ func (t *refTable[V]) put(h uint64, key string, val V) bool {
 	before := len(t.buckets[b])
 	t.buckets[b] = append(t.buckets[b], entry[V]{hash: h, key: key, val: val})
 	t.size++
-	if t.hooks != nil && t.hooks.OnPut != nil {
+	if t.obs != nil {
 		probes := before
 		if t.multi {
 			probes = 0 // multi inserts append without scanning
@@ -94,7 +89,7 @@ func (t *refTable[V]) put(h uint64, key string, val V) bool {
 		if before > 0 {
 			delta = 1
 		}
-		t.hooks.OnPut(key, probes, delta)
+		t.obs.Put(key, probes, delta)
 	}
 	if t.size > len(t.buckets) { // max load factor 1, as libstdc++
 		t.rehash(nextBucketCount(len(t.buckets)))
@@ -107,8 +102,8 @@ func (t *refTable[V]) get(h uint64, key string) (V, bool) {
 	chain := t.buckets[t.bucketOf(h)]
 	for i := range chain {
 		if chain[i].hash == h && chain[i].key == key {
-			if t.hooks != nil && t.hooks.OnGet != nil {
-				t.hooks.OnGet(key, i+1, true)
+			if t.obs != nil {
+				t.obs.Get(key, i+1)
 			}
 			return chain[i].val, true
 		}
@@ -118,16 +113,16 @@ func (t *refTable[V]) get(h uint64, key string) (V, bool) {
 		ochain, oh := t.oldBucket(key)
 		for i := range *ochain {
 			if (*ochain)[i].hash == oh && (*ochain)[i].key == key {
-				if t.hooks != nil && t.hooks.OnGet != nil {
-					t.hooks.OnGet(key, probes+i+1, true)
+				if t.obs != nil {
+					t.obs.Get(key, probes+i+1)
 				}
 				return (*ochain)[i].val, true
 			}
 		}
 		probes += len(*ochain)
 	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, false)
+	if t.obs != nil {
+		t.obs.Get(key, probes)
 	}
 	var zero V
 	return zero, false
@@ -152,8 +147,8 @@ func (t *refTable[V]) count(h uint64, key string) int {
 		}
 		probes += len(*ochain)
 	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, n > 0)
+	if t.obs != nil {
+		t.obs.Get(key, probes)
 	}
 	return n
 }
@@ -177,8 +172,8 @@ func (t *refTable[V]) collect(h uint64, key string) []V {
 		}
 		probes += len(*ochain)
 	}
-	if t.hooks != nil && t.hooks.OnGet != nil {
-		t.hooks.OnGet(key, probes, len(out) > 0)
+	if t.obs != nil {
+		t.obs.Get(key, probes)
 	}
 	return out
 }
@@ -225,8 +220,8 @@ func (t *refTable[V]) del(h uint64, key string) int {
 		collDelta += c
 	}
 	t.size -= removed
-	if t.hooks != nil && t.hooks.OnDelete != nil {
-		t.hooks.OnDelete(key, probes, removed, collDelta)
+	if t.obs != nil {
+		t.obs.Delete(key, probes, collDelta)
 	}
 	return removed
 }
@@ -240,11 +235,11 @@ func (t *refTable[V]) rehash(n int) {
 			t.buckets[b] = append(t.buckets[b], e)
 		}
 	}
-	if t.hooks != nil && t.hooks.OnRehash != nil {
+	if t.obs != nil {
 		// Rebucketing invalidates any incremental collision tracking;
 		// hand the observer an exact recount (O(buckets), dwarfed by
 		// the O(n) rehash itself).
-		t.hooks.OnRehash(len(t.buckets), t.bucketCollisions())
+		t.obs.Rehash(t.bucketCollisions())
 	}
 }
 
@@ -276,8 +271,8 @@ func (t *refTable[V]) rehashInto(newHash hashes.Func) {
 		n = initialBuckets
 	}
 	t.buckets = make([][]entry[V], nextPrime(n))
-	if t.hooks != nil && t.hooks.OnMigrateStart != nil {
-		t.hooks.OnMigrateStart(len(t.old), len(t.buckets))
+	if t.obs != nil {
+		t.obs.MigrateStart(len(t.old), len(t.buckets))
 	}
 }
 
@@ -304,11 +299,9 @@ func (t *refTable[V]) drain(k int) bool {
 	// Migration complete: drop the retired region and let observers
 	// recount, exactly as after a normal rehash.
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
-	if t.hooks != nil && t.hooks.OnMigrateDone != nil {
-		t.hooks.OnMigrateDone(len(t.buckets))
-	}
-	if t.hooks != nil && t.hooks.OnRehash != nil {
-		t.hooks.OnRehash(len(t.buckets), t.bucketCollisions())
+	if t.obs != nil {
+		t.obs.MigrateDone(len(t.buckets))
+		t.obs.Rehash(t.bucketCollisions())
 	}
 	if t.size > len(t.buckets) {
 		t.rehash(nextBucketCount(len(t.buckets)))
@@ -332,8 +325,8 @@ func (t *refTable[V]) clear() {
 	}
 	t.old, t.oldHash, t.drainPos = nil, nil, 0
 	t.size = 0
-	if t.hooks != nil && t.hooks.OnClear != nil {
-		t.hooks.OnClear()
+	if t.obs != nil {
+		t.obs.Clear()
 	}
 }
 

@@ -24,31 +24,25 @@ var tapeKeys = func() []string {
 	return ks
 }()
 
-// hookEvent is one hook call with its arguments.
+// hookEvent is one observer call with its arguments.
 type hookEvent struct {
 	name    string
 	key     string
 	a, b, c int
-	found   bool
 }
 
-// eventLog records every hook a table fires.
+// eventLog is an Observer that records every call a table makes.
 type eventLog []hookEvent
 
-func (l *eventLog) hooks() *Hooks {
-	add := func(e hookEvent) { *l = append(*l, e) }
-	return &Hooks{
-		OnPut:    func(k string, p, d int) { add(hookEvent{name: "put", key: k, a: p, b: d}) },
-		OnGet:    func(k string, p int, f bool) { add(hookEvent{name: "get", key: k, a: p, found: f}) },
-		OnDelete: func(k string, p, r, d int) { add(hookEvent{name: "delete", key: k, a: p, b: r, c: d}) },
-		OnRehash: func(n, bc int) { add(hookEvent{name: "rehash", a: n, b: bc}) },
-		OnClear:  func() { add(hookEvent{name: "clear"}) },
-		OnMigrateStart: func(r, f int) {
-			add(hookEvent{name: "migrate-start", a: r, b: f})
-		},
-		OnMigrateDone: func(n int) { add(hookEvent{name: "migrate-done", a: n}) },
-	}
-}
+func (l *eventLog) add(e hookEvent) { *l = append(*l, e) }
+
+func (l *eventLog) Put(k string, p, d int)    { l.add(hookEvent{name: "put", key: k, a: p, b: d}) }
+func (l *eventLog) Get(k string, p int)       { l.add(hookEvent{name: "get", key: k, a: p}) }
+func (l *eventLog) Delete(k string, p, d int) { l.add(hookEvent{name: "delete", key: k, a: p, b: d}) }
+func (l *eventLog) Rehash(bc int)             { l.add(hookEvent{name: "rehash", a: bc}) }
+func (l *eventLog) Clear()                    { l.add(hookEvent{name: "clear"}) }
+func (l *eventLog) MigrateStart(r, f int)     { l.add(hookEvent{name: "migrate-start", a: r, b: f}) }
+func (l *eventLog) MigrateDone(n int)         { l.add(hookEvent{name: "migrate-done", a: n}) }
 
 type kv[V any] struct {
 	key string
@@ -62,24 +56,30 @@ type lookup[V any] struct {
 }
 
 // runTape replays tape on a flat table and on the slice-per-bucket
-// oracle, failing on the first operation where any return value, hook
-// argument, Stats field, or ForEach/GetAll order differs.
+// oracle, failing on the first operation where any return value,
+// observer call or argument, Stats field, or ForEach/GetAll order
+// differs.
 //
-// The first byte picks the hash function and indexer; then every two
-// bytes are one op: an opcode and an argument, which names the key.
+// The first byte picks the hash function, and its top bit shifts every
+// hash the tape uses right by 8 (RQ7's low-mixing container); then
+// every two bytes are one op: an opcode and an argument, which names
+// the key.
 func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, val func(int) V) {
 	if len(tape) == 0 {
 		return
 	}
 	tape = tape[:min(len(tape), 8192)] // every op rechecks the whole table
-	hash := tapeHashes[int(tape[0])%len(tapeHashes)]
-	var index Indexer
-	if tape[0]&0x80 != 0 {
-		index = HighBitsIndexer(8)
+	tapeHash := func(i int) hashes.Func {
+		h := tapeHashes[i%len(tapeHashes)]
+		if tape[0]&0x80 == 0 {
+			return h
+		}
+		return func(k string) uint64 { return h(k) >> 8 }
 	}
-	got, want := NewTable[V](hash, index, multi), newRefTable[V](hash, index, multi)
+	hash := tapeHash(int(tape[0]))
+	got, want := NewTable[V](hash, multi), newRefTable[V](hash, multi)
 	var gotLog, wantLog eventLog
-	got.hooks, want.hooks = gotLog.hooks(), wantLog.hooks()
+	got.obs, want.obs = &gotLog, &wantLog
 
 	for step := 0; 2*step+2 < len(tape); step++ {
 		op, arg := tape[1+2*step], int(tape[2+2*step])
@@ -121,7 +121,7 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 			got.clear()
 			want.clear()
 		case 14:
-			h := tapeHashes[arg%len(tapeHashes)]
+			h := tapeHash(arg)
 			desc = fmt.Sprintf("BeginMigration %d", arg%len(tapeHashes))
 			got.rehashInto(h)
 			want.rehashInto(h)
@@ -133,7 +133,7 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 			t.Fatalf("%s step %d %s: returned %v, oracle %v", kind, step, desc, g, w)
 		}
 		if !slices.Equal(gotLog, wantLog) {
-			t.Fatalf("%s step %d %s: hooks\n got %+v\nwant %+v", kind, step, desc, gotLog, wantLog)
+			t.Fatalf("%s step %d %s: observer calls\n got %+v\nwant %+v", kind, step, desc, gotLog, wantLog)
 		}
 		gotLog, wantLog = gotLog[:0], wantLog[:0]
 		if gs, ws := got.Stats(), refStats(want); gs != ws {
@@ -153,7 +153,7 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 
 // FuzzTableOps holds the flat table bit-identical to the former
 // slice-per-bucket layout (reference_test.go) over random op tapes,
-// for all four container kinds, with hooks installed.
+// for all four container kinds, with an observer installed.
 func FuzzTableOps(f *testing.F) {
 	r := rand.New(rand.NewPCG(1, 2))
 	for _, n := range []int{3, 64, 512, 2048, 4096} {

@@ -72,7 +72,7 @@ func TestMergeStats(t *testing.T) {
 // fed the identical operations.
 func TestMergeStatsSingleShard(t *testing.T) {
 	sharded := NewTable[int](hashes.STL, false, 1)
-	plain := container.NewTable[int](hashes.STL, nil, false)
+	plain := container.NewTable[int](hashes.STL, false)
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%03d", i)
 		sharded.Put(k, i)
@@ -436,56 +436,4 @@ func TestShardedMigration(t *testing.T) {
 	if v, ok := m.Get("post-swap"); !ok || v != 1 {
 		t.Fatalf("post-swap Put/Get = (%d,%v)", v, ok)
 	}
-}
-
-// FuzzShardedMapOps replays a fuzzer-chosen op sequence against a
-// plain map oracle — sequential, so every divergence is a correctness
-// bug in routing/bucketing rather than a race.
-func FuzzShardedMapOps(f *testing.F) {
-	f.Add([]byte("\x00a\x01b\x02a"), uint8(4))
-	f.Add([]byte("\x00k\x00k\x02k\x01k"), uint8(1))
-	f.Fuzz(func(t *testing.T, ops []byte, shards uint8) {
-		m := NewTable[int](hashes.STL, false, int(shards%16)+1)
-		oracle := make(map[string]int)
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, k := ops[i]%4, fmt.Sprintf("k%d", ops[i+1]%32)
-			switch op {
-			case 0:
-				isNew := m.Put(k, i)
-				_, existed := oracle[k]
-				if isNew == existed {
-					t.Fatalf("op %d: Put(%q) new=%v, oracle existed=%v", i, k, isNew, existed)
-				}
-				oracle[k] = i
-			case 1:
-				v, ok := m.Get(k)
-				want, wantOK := oracle[k]
-				if ok != wantOK || (ok && v != want) {
-					t.Fatalf("op %d: Get(%q) = (%d,%v), oracle (%d,%v)", i, k, v, ok, want, wantOK)
-				}
-			case 2:
-				got := m.Delete(k)
-				want := 0
-				if _, ok := oracle[k]; ok {
-					want = 1
-				}
-				if got != want {
-					t.Fatalf("op %d: Delete(%q) = %d, oracle %d", i, k, got, want)
-				}
-				delete(oracle, k)
-			case 3:
-				if m.Len() != len(oracle) {
-					t.Fatalf("op %d: Len = %d, oracle %d", i, m.Len(), len(oracle))
-				}
-			}
-		}
-		if m.Len() != len(oracle) {
-			t.Fatalf("final Len = %d, oracle %d", m.Len(), len(oracle))
-		}
-		for k, want := range oracle {
-			if v, ok := m.Get(k); !ok || v != want {
-				t.Fatalf("final Get(%q) = (%d,%v), oracle %d", k, v, ok, want)
-			}
-		}
-	})
 }

@@ -30,7 +30,7 @@ func NewTable[V any](hash hashes.Func, multi bool, n int) *Table[V] {
 		tabs:   make([]*container.Table[V], n),
 	}
 	for i := range t.tabs {
-		t.tabs[i] = container.NewTable[V](hash, nil, multi)
+		t.tabs[i] = container.NewTable[V](hash, multi)
 	}
 	return t
 }
@@ -195,19 +195,18 @@ func (t *Table[V]) Clear() {
 	}
 }
 
-// SetShardHooks installs per-shard observation hooks: f is called
-// once per shard index and may return distinct hook blocks (per-shard
-// telemetry) or the same one. A nil f removes all hooks. f runs
-// before the shard's lock is taken — user code never executes under a
-// shard lock.
-func (t *Table[V]) SetShardHooks(f func(shard int) *container.Hooks) {
+// SetShardObservers installs per-shard observers: f is called once per
+// shard index, before the shard's lock is taken, and a nil f removes
+// them all. A shard's lookups run concurrently under its read lock, so
+// its observer's Get must tolerate concurrent calls.
+func (t *Table[V]) SetShardObservers(f func(shard int) container.Observer) {
 	for i := range t.tabs {
-		var h *container.Hooks
+		var o container.Observer
 		if f != nil {
-			h = f(i)
+			o = f(i)
 		}
 		t.locks[i].Lock()
-		t.tabs[i].SetHooks(h)
+		t.tabs[i].SetObserver(o)
 		t.locks[i].Unlock()
 	}
 }

@@ -243,7 +243,7 @@ func BenchmarkSpecializedVsChained(b *testing.B) {
 	})
 	b.Run("chained", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m := container.NewTable[int](h, nil, false)
+			m := container.NewTable[int](h, false)
 			for j, k := range pool {
 				m.Put(k, j)
 			}

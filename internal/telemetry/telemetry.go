@@ -206,24 +206,23 @@ func (o *opCount) flush(c *Counter) {
 // probeSampleEvery. Put and get counts consequently trail the true
 // totals by fewer than flushChunk operations each per adapter.
 // Deletes, rehashes, clears and migrations flush pending counts, so a
-// snapshot taken after any of them is exact for that table.
+// snapshot taken after any of them is exact for that table. B-Coll
+// deltas apply at once: the running count backs the quality alarms.
 //
-// The adapter's owner is whatever serializes its table's writes: the
-// goroutine that owns a single-owner container, or the write lock of
-// one shard of a sharded container (every Put, Delete, Reserve,
-// Clear, BeginMigration and MigrateStep holds it). Every method but
-// ConcurrentGet must run under that owner. A table whose lookups run
-// concurrently with each other (a shard's lookups hold only its read
-// lock) records them with ConcurrentGet instead of Get; an adapter
-// uses one of the two, never both.
+// It is a container.Observer. Its owner is whatever serializes its
+// table's writes: the goroutine that owns a single-owner container, or
+// the write lock of one shard of a sharded container (every Put,
+// Delete, Reserve, Clear, BeginMigration and MigrateStep holds it).
+// Every method must run under that owner; a shard, whose lookups hold
+// only its read lock, reports to a ShardContainerOps instead.
 //
 // The struct is 64 bytes, a size class whose objects are 64-byte
 // aligned, so an operation dirties one cache line of its adapter:
 // that line is what the cores sharing a shard hand back and forth.
 type BatchedContainerOps struct {
 	puts, gets, dels opCount
-	// sharedGets counts ConcurrentGet calls; Flush, which no lookup
-	// overlaps, copies it into gets.n.
+	// sharedGets counts a ShardContainerOps' lookups; Flush, which no
+	// lookup overlaps, copies it into gets.n.
 	sharedGets atomic.Uint64
 	m          *ContainerMetrics
 }
@@ -233,13 +232,42 @@ func NewBatchedContainerOps(m *ContainerMetrics) *BatchedContainerOps {
 	return &BatchedContainerOps{m: m}
 }
 
-// Put records one insert of key that examined probes chain entries.
+// ShardContainerOps is the BatchedContainerOps of one shard, whose
+// lookups run concurrently under its read lock. It embeds the adapter
+// by value and overrides only Get, so it stays one cache line and its
+// other methods are the adapter's own, reached by a tail jump.
+type ShardContainerOps struct{ BatchedContainerOps }
+
+// NewShardContainerOps returns a shard's batching adapter over m,
+// built in place: the adapter holds an atomic and must not be copied.
+func NewShardContainerOps(m *ContainerMetrics) *ShardContainerOps {
+	s := new(ShardContainerOps)
+	s.m = m
+	return s
+}
+
+// Get records a lookup under the shard's read lock with one atomic
+// add. Each value it returns reaches one call, which samples and
+// publishes off it, so each chunk is published once.
 //
 //sepe:noalloc
-func (b *BatchedContainerOps) Put(key string, probes int) {
+func (s *ShardContainerOps) Get(key string, probes int) {
+	if n := s.sharedGets.Add(1); n%probeSampleEvery == 0 {
+		s.sample(&s.gets, n, key, probes)
+	}
+}
+
+// Put records one insert of key that examined probes chain entries
+// and changed the bucket-collision count by collDelta.
+//
+//sepe:noalloc
+func (b *BatchedContainerOps) Put(key string, probes, collDelta int) {
 	b.puts.n++
 	if b.puts.n%probeSampleEvery == 0 {
 		b.sample(&b.puts, b.puts.n, key, probes)
+	}
+	if collDelta != 0 {
+		b.m.CollisionDelta(collDelta)
 	}
 }
 
@@ -254,29 +282,46 @@ func (b *BatchedContainerOps) Get(key string, probes int) {
 	}
 }
 
-// ConcurrentGet is Get for lookups that run concurrently with each
-// other but never with the owner's methods. It counts with one atomic
-// add and samples and publishes off the value the add returns: each
-// value reaches exactly one call, so each chunk is published exactly
-// once.
-//
-//sepe:noalloc
-func (b *BatchedContainerOps) ConcurrentGet(key string, probes int) {
-	if n := b.sharedGets.Add(1); n%probeSampleEvery == 0 {
-		b.sample(&b.gets, n, key, probes)
-	}
-}
-
 // Delete records one erase of key that examined probes chain entries
-// and flushes pending counts.
+// and changed the bucket-collision count by collDelta, then flushes.
 //
 //sepe:noalloc
-func (b *BatchedContainerOps) Delete(key string, probes int) {
+func (b *BatchedContainerOps) Delete(key string, probes, collDelta int) {
 	b.dels.n++
 	if b.dels.n%probeSampleEvery == 0 {
 		b.sample(&b.dels, b.dels.n, key, probes)
 	}
 	b.Flush()
+	if collDelta != 0 {
+		b.m.CollisionDelta(collDelta)
+	}
+}
+
+// The structural events flush pending counts, then record the event
+// in the metrics block.
+
+//sepe:noalloc
+func (b *BatchedContainerOps) Rehash(bucketCollisions int) {
+	b.Flush()
+	b.m.Rehash(bucketCollisions)
+}
+
+//sepe:noalloc
+func (b *BatchedContainerOps) Clear() {
+	b.Flush()
+	b.m.Reset()
+}
+
+//sepe:noalloc
+func (b *BatchedContainerOps) MigrateStart(retired, fresh int) {
+	b.Flush()
+	b.m.MigrateStart(retired, fresh)
+}
+
+//sepe:noalloc
+func (b *BatchedContainerOps) MigrateDone(buckets int) {
+	b.Flush()
+	b.m.MigrateDone(buckets)
 }
 
 // sample feeds the n-th operation of the kind o counts, a sampled
@@ -375,7 +420,7 @@ func (m *HashMetrics) SetCounterexamples(keys ...string) {
 // may be nil; with both nil fn is returned unchanged.
 //
 // The returned wrapper batches its counter updates locally (flushing
-// every 64 calls), so each wrapper value must stay confined to one
+// every flushEvery = 256 calls), so each wrapper value must stay confined to one
 // goroutine — the same ownership discipline the containers themselves
 // require. Wrap once per goroutine; all wrappers share m and d safely.
 //
@@ -414,7 +459,7 @@ func Instrument(fn func(string) uint64, m *HashMetrics, d *DriftMonitor) func(st
 type HashSnapshot struct {
 	Name string `json:"name"`
 	// Calls is the number of hash invocations (batched: trails the
-	// true count by at most 63 per live wrapper).
+	// true count by at most 255 per live wrapper).
 	Calls uint64 `json:"calls"`
 	// Sampled is the number of latency samples behind the quantiles.
 	Sampled uint64 `json:"sampled"`

@@ -71,8 +71,16 @@ func TestInstrumentCountsAndTimes(t *testing.T) {
 	m := NewHashMetrics("test")
 	base := func(key string) uint64 { return uint64(len(key)) }
 	fn := Instrument(base, m, nil)
+	// The count moves in whole batches: it trails by flushEvery-1
+	// calls at most, and the flushEvery-th call publishes the batch.
+	for i := 1; i <= flushEvery; i++ {
+		fn("abc")
+		if want := uint64(i / flushEvery * flushEvery); m.Calls() != want {
+			t.Fatalf("after %d calls Calls = %d, want %d", i, m.Calls(), want)
+		}
+	}
 	const n = 10 * flushEvery * timedEvery
-	for i := 0; i < n; i++ {
+	for i := flushEvery; i < n; i++ {
 		if got := fn("abc"); got != 3 {
 			t.Fatalf("wrapped hash = %d, want 3", got)
 		}
@@ -133,17 +141,19 @@ func TestContainerMetrics(t *testing.T) {
 // TestBatchedContainerOpsSingleOwner pins the adapter's accounting on
 // a single-owner table that deletes every third operation: put counts
 // trail by fewer than flushChunk, every delete makes all counts exact,
-// and the sampling phase survives the flushes (one put in
-// probeSampleEvery is still sampled).
+// collision deltas apply at once, and the sampling phase survives the
+// flushes (one put in probeSampleEvery is still sampled).
 func TestBatchedContainerOpsSingleOwner(t *testing.T) {
 	m := NewContainerMetrics("single")
 	b := NewBatchedContainerOps(m)
 	var puts, gets, dels uint64
+	var bcoll int64
 	for i := 0; i < 20000; i++ {
 		switch {
 		case i%3 == 2:
-			b.Delete("k", 1)
+			b.Delete("k", 1, -1)
 			dels++
+			bcoll--
 			if s := m.Snapshot(); s.Puts != puts || s.Gets != gets || s.Deletes != dels {
 				t.Fatalf("op %d: after a delete counts are %d/%d/%d, want %d/%d/%d",
 					i, s.Puts, s.Gets, s.Deletes, puts, gets, dels)
@@ -152,8 +162,12 @@ func TestBatchedContainerOpsSingleOwner(t *testing.T) {
 			b.Get("k", 2)
 			gets++
 		default:
-			b.Put("k", 3)
+			b.Put("k", 3, 1)
 			puts++
+			bcoll++
+		}
+		if got := m.BucketCollisions(); got != bcoll {
+			t.Fatalf("op %d: BucketCollisions = %d, want %d", i, got, bcoll)
 		}
 		if s := m.Snapshot(); s.Puts > puts || puts-s.Puts >= flushChunk || s.Gets > gets || gets-s.Gets >= flushChunk {
 			t.Fatalf("op %d: published %d puts, %d gets of %d, %d", i, s.Puts, s.Gets, puts, gets)
@@ -172,22 +186,25 @@ func TestBatchedContainerOpsSingleOwner(t *testing.T) {
 	}
 }
 
-// TestBatchedContainerOpsLayout pins the size the adapter's doc
-// comment relies on: one 64-byte cache line.
+// TestBatchedContainerOpsLayout pins the size the adapters' doc
+// comments rely on: one 64-byte cache line each.
 func TestBatchedContainerOpsLayout(t *testing.T) {
 	if size := unsafe.Sizeof(BatchedContainerOps{}); size != 64 {
 		t.Fatalf("BatchedContainerOps is %d bytes, want 64", size)
 	}
+	if size := unsafe.Sizeof(ShardContainerOps{}); size != 64 {
+		t.Fatalf("ShardContainerOps is %d bytes, want 64", size)
+	}
 }
 
-// TestBatchedContainerOpsConcurrentGets runs ConcurrentGets from
-// several goroutines at once, as a shard's readers do under its read
-// lock, then flushes with none in flight, as the shard's write lock
-// does.
+// TestBatchedContainerOpsConcurrentGets runs a ShardContainerOps' Get
+// from several goroutines at once, as a shard's readers do under its
+// read lock, then flushes with none in flight, as the shard's write
+// lock does.
 func TestBatchedContainerOpsConcurrentGets(t *testing.T) {
 	const readers, each = 4, 10007
 	m := NewContainerMetrics("shard")
-	b := NewBatchedContainerOps(m)
+	b := NewShardContainerOps(m)
 	for round := 1; round <= 3; round++ {
 		var wg sync.WaitGroup
 		for r := 0; r < readers; r++ {
@@ -195,7 +212,7 @@ func TestBatchedContainerOpsConcurrentGets(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < each; i++ {
-					b.ConcurrentGet("k", 5)
+					b.Get("k", 5)
 				}
 			}()
 		}
@@ -204,7 +221,7 @@ func TestBatchedContainerOpsConcurrentGets(t *testing.T) {
 		if got := m.Snapshot().Gets; got > want || want-got >= flushChunk {
 			t.Fatalf("round %d: %d gets published before the flush, want within %d of %d", round, got, flushChunk, want)
 		}
-		b.Put("k", 1)
+		b.Put("k", 1, 0)
 		b.Flush()
 		if got := m.Snapshot().Gets; got != want {
 			t.Fatalf("round %d: %d gets after the flush, want %d", round, got, want)

@@ -3,12 +3,11 @@ package sepe
 import (
 	"net/http"
 
-	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/telemetry"
 )
 
 // This file exposes the runtime telemetry layer: instrumented hash
-// wrappers, the hooks behind Observed containers, the format-drift monitor, synthesis
+// wrappers, the metric blocks behind Observed containers, the format-drift monitor, synthesis
 // tracing, and the metrics registry/HTTP endpoint. The paper measures
 // B-Time/H-Time/B-Coll/T-Coll offline (Table 1); these types surface
 // the same quantities — plus the RQ7 question the offline harness
@@ -105,7 +104,7 @@ func RegisterRuntimeMetrics() { telemetry.RegisterRuntimeMetrics(telemetry.Defau
 // nothing.
 //
 // The wrapper batches its counter updates locally and flushes them to
-// m's atomics every 64 calls, keeping the per-call overhead a small
+// m's atomics every 256 calls, keeping the per-call overhead a small
 // fraction of even a Pext hash. Consequently each wrapper value must
 // stay confined to one goroutine — the ownership discipline the
 // containers already require. Wrap once per goroutine (or per
@@ -130,53 +129,6 @@ func Instrument(hash HashFunc, m *HashMetrics, d *DriftMonitor) HashFunc {
 // f.Matches for an independently scoped monitor.
 func (f *Format) DriftMonitor(name string, cfg DriftConfig) *DriftMonitor {
 	return telemetry.Default.NewDrift(name, f.Matches, cfg)
-}
-
-// containerHooks adapts cm to the container hook interface through
-// one BatchedContainerOps, whose owner is whatever serializes the
-// table's writes: the owning goroutine of a single-owner container,
-// or the write lock of one shard of a sharded container.
-// concurrentGets marks the shard case, where lookups run concurrently
-// under the shard's read lock and so record through ConcurrentGet.
-// B-Coll deltas stay immediate: the running collision count backs the
-// quality alarms and must not trail the table.
-func containerHooks(cm *ContainerMetrics, concurrentGets bool) *container.Hooks {
-	b := telemetry.NewBatchedContainerOps(cm)
-	onGet := func(key string, probes int, _ bool) { b.Get(key, probes) }
-	if concurrentGets {
-		onGet = func(key string, probes int, _ bool) { b.ConcurrentGet(key, probes) }
-	}
-	return &container.Hooks{
-		OnPut: func(key string, probes, delta int) {
-			b.Put(key, probes)
-			if delta != 0 {
-				cm.CollisionDelta(delta)
-			}
-		},
-		OnGet: onGet,
-		OnDelete: func(key string, probes, _, delta int) {
-			b.Delete(key, probes)
-			if delta != 0 {
-				cm.CollisionDelta(delta)
-			}
-		},
-		OnRehash: func(_, bcoll int) {
-			b.Flush()
-			cm.Rehash(bcoll)
-		},
-		OnClear: func() {
-			b.Flush()
-			cm.Reset()
-		},
-		OnMigrateStart: func(retired, fresh int) {
-			b.Flush()
-			cm.MigrateStart(retired, fresh)
-		},
-		OnMigrateDone: func(buckets int) {
-			b.Flush()
-			cm.MigrateDone(buckets)
-		},
-	}
 }
 
 // MergeContainerSnapshots folds the per-shard snapshots of a sharded
