@@ -36,9 +36,17 @@ const (
 // metrics registry).
 type AdaptiveConfig = adaptive.Config
 
-// AdaptiveSynthesizer produces replacement hash functions from sample
-// keys; set AdaptiveConfig.Synthesize to override the default
-// re-infer-and-synthesize pipeline (e.g. in tests).
+// AdaptiveFunction is what an adaptive hash serves and an
+// AdaptiveSynthesizer returns: a hash function together with the
+// membership predicate of the format it was specialized to. A *Hash is
+// an AdaptiveFunction.
+type AdaptiveFunction = adaptive.Function
+
+// AdaptiveSynthesizer produces replacement functions from sample keys;
+// set AdaptiveConfig.Synthesize to override the default
+// re-infer-and-synthesize pipeline (e.g. in tests). It returns an
+// AdaptiveFunction, which a *Hash is: a synthesizer can return the
+// result of Synthesize as it is.
 type AdaptiveSynthesizer = adaptive.Synthesizer
 
 // AdaptiveHash is a self-healing hash function. It serves the
@@ -75,13 +83,9 @@ func NewAdaptiveHash(name string, f *Format, fam Family, cfg AdaptiveConfig, opt
 		for _, opt := range opts {
 			opt(&o)
 		}
-		if o.Seed != nil {
-			cfg.Synthesize = adaptive.NewSeededSynthesizer(core.Family(fam), o)
-		} else {
-			cfg.Synthesize = adaptive.NewSynthesizer(core.Family(fam), o)
-		}
+		cfg.Synthesize = adaptive.NewSynthesizer(core.Family(fam), o)
 	}
-	a, err := adaptive.New(name, h.Func(), f.Matches, cfg)
+	a, err := adaptive.New(name, h, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -95,8 +95,8 @@ func TestAdaptiveMapSurvivesDriftWithInjectedSynthesizer(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := fastAdaptiveCfg()
-	cfg.Synthesize = func(context.Context, []string) (func(string) uint64, func(string) bool, error) {
-		return ipHash.Func(), ipFormat.Matches, nil
+	cfg.Synthesize = func(context.Context, []string) (sepe.AdaptiveFunction, error) {
+		return ipHash, nil
 	}
 	ah, err := sepe.NewAdaptiveHash("ssn", f, sepe.Pext, cfg)
 	if err != nil {

@@ -19,20 +19,15 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/sepe-go/sepe/internal/bench"
 	"github.com/sepe-go/sepe/internal/codegen"
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/core"
-	"github.com/sepe-go/sepe/internal/dash"
 	"github.com/sepe-go/sepe/internal/entropy"
 	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/infer"
@@ -40,7 +35,6 @@ import (
 	"github.com/sepe-go/sepe/internal/pattern"
 	"github.com/sepe-go/sepe/internal/rex"
 	"github.com/sepe-go/sepe/internal/stats"
-	"github.com/sepe-go/sepe/internal/telemetry"
 	"github.com/sepe-go/sepe/internal/textplot"
 )
 
@@ -65,9 +59,7 @@ func main() {
 		showProgr = flag.Bool("progress", true, "print progress to stderr")
 		csvPath   = flag.String("csv", "", "also write every raw grid measurement to this CSV file")
 		plot      = flag.Bool("plot", false, "render figures as terminal charts in addition to the tables")
-		telemAddr = flag.String("telemetry", "",
-			"serve live metrics (Prometheus text, or JSON with ?format=json) on this address while experiments run, e.g. :9090")
-		certify = flag.Bool("certify", false,
+		certify   = flag.Bool("certify", false,
 			"certify every family over the eight RQ key formats instead of running experiments: emit the JSON certificate report (BENCH_certify.json) and exit non-zero on any certifier finding")
 		floodExp = flag.Bool("flood", false,
 			"run the hash-flood resistance experiment instead of experiments: mine attack key sets against unseeded functions, replay them against seeded deployments, emit the JSON report (BENCH_flood.json) and exit non-zero if any seeded deployment strays >2 sigma from a random oracle")
@@ -75,8 +67,6 @@ func main() {
 			"run the fault-injecting production traffic simulator instead of experiments: multi-tenant phased load with drift and flood injection against seeded adaptive hashes; exits non-zero if any tenant fails to recover")
 		trafficOps  = flag.Int("traffic-ops", 400000, "total simulated operations for -traffic")
 		trafficSeed = flag.Uint64("traffic-seed", 1, "PRNG seed for -traffic key streams and phase noise")
-		watch       = flag.Bool("watch", false,
-			"render a live sepetop-style dashboard of the default metrics registry to stderr while experiments run (implies -progress=false)")
 	)
 	flag.Parse()
 
@@ -125,18 +115,8 @@ func main() {
 		}
 		r.types = types
 	}
-	if *showProgr && !*watch {
+	if *showProgr {
 		r.progress = func(s string) { fmt.Fprintf(os.Stderr, "  … %s\n", s) }
-	}
-	if *telemAddr != "" {
-		if err := serveTelemetry(*telemAddr, r); err != nil {
-			fmt.Fprintln(os.Stderr, "sepebench:", err)
-			os.Exit(1)
-		}
-	}
-	if *watch {
-		registerWatchGauges(r)
-		go watchLoop(os.Stderr, 2*time.Second)
 	}
 
 	exps := strings.Split(*expFlag, ",")
@@ -149,7 +129,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sepebench:", err)
 			os.Exit(1)
 		}
-		r.expsDone.Add(1)
 	}
 	if *csvPath != "" {
 		if err := r.writeCSV(*csvPath); err != nil {
@@ -232,67 +211,8 @@ type runner struct {
 	progress func(string)
 	plot     bool
 
-	expsDone      atomic.Int64 // experiments completed (telemetry gauge)
-	progressSteps atomic.Int64 // progress callbacks fired (telemetry gauge)
-
 	x86Grid []bench.Measurement // cached full grid on x86
 	armGrid []bench.Measurement // cached full grid on aarch64
-}
-
-// serveTelemetry exposes the process-wide metrics registry over HTTP
-// for the duration of the run and registers run-progress gauges, so a
-// long grid can be watched from a browser or scraped by Prometheus.
-func serveTelemetry(addr string, r *runner) error {
-	registerWatchGauges(r)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", telemetry.Default.Handler())
-	mux.Handle("/healthz", telemetry.Default.HealthHandler())
-	mux.Handle("/readyz", telemetry.Default.HealthHandler())
-	mux.Handle("/trace", telemetry.Default.Recorder().Handler())
-	mux.Handle("/", telemetry.Default.Handler())
-	fmt.Fprintf(os.Stderr, "telemetry: serving metrics on http://%s/metrics\n", ln.Addr())
-	go http.Serve(ln, mux)
-	return nil
-}
-
-// watchRegistered dedupes registration when both -telemetry and
-// -watch are set, so the progress callback is not wrapped twice
-// (which would double-count sepe_bench_progress_steps).
-var watchRegistered bool
-
-// registerWatchGauges hooks run-progress counters into the default
-// registry for the -telemetry endpoint and the -watch dashboard.
-func registerWatchGauges(r *runner) {
-	if watchRegistered {
-		return
-	}
-	watchRegistered = true
-	inner := r.progress
-	r.progress = func(s string) {
-		r.progressSteps.Add(1)
-		if inner != nil {
-			inner(s)
-		}
-	}
-	telemetry.Default.Gauge("sepe_bench_experiments_done",
-		func() float64 { return float64(r.expsDone.Load()) })
-	telemetry.Default.Gauge("sepe_bench_progress_steps",
-		func() float64 { return float64(r.progressSteps.Load()) })
-}
-
-// watchLoop redraws a sepetop-style frame of the default registry
-// until the process exits — the -watch live view of a long grid run.
-func watchLoop(w io.Writer, every time.Duration) {
-	d := dash.New(100)
-	for {
-		time.Sleep(every)
-		fmt.Fprint(w, "\x1b[H\x1b[2J")
-		fmt.Fprint(w, d.Frame(telemetry.Default.Snapshot(), time.Now()))
-	}
 }
 
 func (r *runner) run(exp string) error {

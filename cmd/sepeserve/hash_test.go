@@ -31,7 +31,7 @@ func newReadyServer(tb testing.TB) (*server, *core.Fn) {
 		tb.Fatal(err)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, _, err := tn.ready(); err == nil {
+		if _, err := tn.ready(); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

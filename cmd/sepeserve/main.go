@@ -17,9 +17,10 @@
 //	curl -s localhost:8321/v1/formats/ssn/plan -o ssn.sepeplan
 //	curl -s -X PUT --data-binary @ssn.sepeplan localhost:8321/v1/formats/ssn2/plan
 //
-// With -cache, every synthesized or imported plan persists as a wire
-// frame, and the next start preloads them — no re-synthesis on
-// restart. Plan frames never contain seed material (DESIGN.md §11/§12);
+// With -cache, registered and imported plans persist as wire frames,
+// shutdown persists the plan each tenant serves (a re-synthesized plan
+// once promoted), and the next start preloads them — no re-synthesis
+// on restart. Plan frames never contain seed material (DESIGN.md §11/§12);
 // keyed tenants are re-keyed with a fresh process seed on preload.
 //
 // Observability rides on the library's existing plane: /healthz,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,7 +9,6 @@ import (
 
 	"github.com/sepe-go/sepe/internal/adaptive"
 	"github.com/sepe-go/sepe/internal/core"
-	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/infer"
 	"github.com/sepe-go/sepe/internal/pattern"
 	"github.com/sepe-go/sepe/internal/rex"
@@ -34,12 +32,18 @@ import (
 // adaptive wrapper's fallback tier and generation-counted hot swap,
 // exactly as in the library API.
 //
-// When the daemon has a plan cache, every (re)synthesis writes the
-// current plan's wire frame under the tenant's name, and boot preloads
-// every cached entry — restarts skip re-synthesis entirely. Seeds are
-// per-process (DESIGN.md §11): the frame never carries keying
-// material, so a preloaded keyed tenant is re-keyed with a fresh seed,
-// deliberately changing its hash placement across restarts.
+// The adaptive hash is the one owner of what a ready tenant serves:
+// status, plan export and the certificate all read its serving
+// Function and generation, and never keep a copy of either.
+//
+// When the daemon has a plan cache, registration and import write the
+// tenant's plan as a wire frame under its name, shutdown rewrites each
+// tenant's serving plan (a re-synthesized one reaches disk only once
+// promoted), and boot preloads every cached entry — restarts skip
+// re-synthesis entirely. Seeds are per-process (DESIGN.md §11): the
+// frame never carries keying material, so a preloaded keyed tenant is
+// re-keyed with a fresh seed, deliberately changing its hash placement
+// across restarts.
 
 type tenantState int32
 
@@ -79,8 +83,6 @@ type tenant struct {
 	since   time.Time // time of the last state change
 
 	hash *adaptive.Hash // ready state only
-	fn   *core.Fn       // latest compiled plan, for export/certificate
-	gen  uint64         // plan generation (bumps on every promotion)
 }
 
 // registry is the tenant table plus the shared services tenants use.
@@ -101,6 +103,7 @@ var (
 	errUnknownTenant = errors.New("unknown format")
 	errTenantExists  = errors.New("format already registered")
 	errNotReady      = errors.New("format not ready")
+	errFallback      = errors.New("format is serving the fallback hash")
 	errBadRequest    = errors.New("bad request")
 )
 
@@ -191,7 +194,7 @@ func (r *registry) synthesize(t *tenant, req registration) {
 		if req.regex != "" {
 			return rex.ParseAndLower(req.regex)
 		}
-		return infer.Infer(dedup(req.examples))
+		return infer.Infer(req.examples)
 	}()
 	if err != nil {
 		r.fail(t, fmt.Errorf("format: %w", err))
@@ -206,7 +209,8 @@ func (r *registry) synthesize(t *tenant, req registration) {
 		r.fail(t, fmt.Errorf("synthesis: %w", err))
 		return
 	}
-	if err := r.promote(t, fn, pat.Matches); err != nil {
+	r.persist(t.name, fn)
+	if err := r.promote(t, fn); err != nil {
 		r.fail(t, err)
 	}
 }
@@ -221,82 +225,51 @@ func (r *registry) fail(t *tenant, err error) {
 }
 
 // promote installs a freshly compiled function as the tenant's first
-// generation: wraps it in the adaptive machinery, persists the plan,
-// and flips the state to ready.
-func (r *registry) promote(t *tenant, fn *core.Fn, matches func(string) bool) error {
+// generation: wraps it in the adaptive machinery and flips the state
+// to ready. Re-synthesis re-infers the format from observed keys and
+// synthesizes the tenant's family; a keyed tenant's candidates are
+// keyed with a fresh seed each, so a cornered seed does not survive
+// recovery.
+func (r *registry) promote(t *tenant, fn *core.Fn) error {
+	opts := core.Options{}
+	if t.keyed {
+		opts.Seed = seed.New()
+	}
 	cfg := adaptive.Config{
 		Registry:   r.reg,
-		Synthesize: r.synthesizer(t),
+		Synthesize: adaptive.NewSynthesizer(t.family, opts),
 	}
 	if r.quick {
 		cfg.AttemptTimeout = 2 * time.Second
 		cfg.InitialBackoff = 10 * time.Millisecond
 		cfg.MaxBackoff = 50 * time.Millisecond
 	}
-	ah, err := adaptive.New(t.name, fn.Func(), matches, cfg)
+	ah, err := adaptive.New(t.name, fn, cfg)
 	if err != nil {
 		return fmt.Errorf("adaptive wrap: %w", err)
 	}
-	r.persist(t, fn)
 	t.mu.Lock()
 	t.hash = ah
-	t.fn = fn
-	t.gen = 1
 	t.state = stateReady
 	t.since = time.Now()
 	t.mu.Unlock()
 	return nil
 }
 
-// synthesizer returns the tenant's re-synthesis hook: the standard
-// re-infer→synthesize pipeline, except that the produced *core.Fn is
-// recorded on the tenant (so plan export always reflects the live
-// generation) and the plan cache is rewritten. Keyed tenants rotate
-// their seed on every attempt, as NewSeededSynthesizer does — a
-// cornered seed does not survive recovery.
-func (r *registry) synthesizer(t *tenant) adaptive.Synthesizer {
-	return func(ctx context.Context, sample []string) (hashes.Func, func(string) bool, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		pat, err := infer.Infer(dedup(sample))
-		if err != nil {
-			return nil, nil, fmt.Errorf("re-infer: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		opts := core.Options{}
-		if t.keyed {
-			opts.Seed = seed.New()
-		}
-		fn, err := core.Synthesize(pat, t.family, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("re-synthesize: %w", err)
-		}
-		r.persist(t, fn)
-		t.mu.Lock()
-		t.fn = fn
-		t.gen++
-		t.mu.Unlock()
-		return fn.Func(), pat.Matches, nil
-	}
-}
-
 // persist writes the plan's wire frame to the cache, when one is
 // configured. Persistence is best-effort: a full disk must not take
 // hashing down, so failures are recorded as telemetry events only.
-func (r *registry) persist(t *tenant, fn *core.Fn) {
+func (r *registry) persist(name string, fn *core.Fn) {
 	if r.cache == nil {
 		return
 	}
 	frame, err := wire.Encode(fn.Plan())
 	if err == nil {
-		err = r.cache.Save(t.name, frame)
+		err = r.cache.Save(name, frame)
 	}
 	if err != nil {
 		r.reg.Recorder().Instant("cache", "persist-failed",
-			telemetry.Str("tenant", t.name), telemetry.Str("error", err.Error()))
+			telemetry.Str("tenant", name), telemetry.Str("error", err.Error()))
 	}
 }
 
@@ -327,7 +300,7 @@ func (r *registry) adopt(name string, d *wire.Decoded, source string) (*tenant, 
 		created: time.Now(),
 		since:   time.Now(),
 	}
-	if err := r.promote(t, fn, d.Plan.Pattern.Matches); err != nil {
+	if err := r.promote(t, fn); err != nil {
 		return nil, err
 	}
 	old := r.swap(name, t)
@@ -403,29 +376,32 @@ func (r *registry) preload() (int, error) {
 	return n, nil
 }
 
-// close shuts down every tenant's healing loop.
+// close shuts down every tenant's healing loop, then persists the
+// plan each tenant serves, so the cache holds what was served last —
+// never a candidate the healing loop rejected. A tenant serving the
+// fallback keeps its cache entry as it was.
 func (r *registry) close() {
 	r.mu.Lock()
 	tenants := r.tenants
 	r.tenants = make(map[string]*tenant)
 	r.mu.Unlock()
 	for _, t := range tenants {
-		if h := t.closer(); h != nil {
-			h.Close()
+		h := t.closer()
+		if h == nil {
+			continue
+		}
+		h.Close()
+		if fn, _ := serving(h); fn != nil {
+			r.persist(t.name, fn)
 		}
 	}
 }
 
-// dedup returns the unique keys, preserving first-seen order.
-func dedup(keys []string) []string {
-	seen := make(map[string]struct{}, len(keys))
-	out := keys[:0:0]
-	for _, k := range keys {
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, k)
-	}
-	return out
+// serving returns the plan h serves and the generation its hash
+// answers carry, from one read of the adaptive hash. The plan is nil
+// while the fallback serves.
+func serving(h *adaptive.Hash) (*core.Fn, uint64) {
+	f, gen := h.Serving()
+	fn, _ := f.(*core.Fn)
+	return fn, gen
 }

@@ -88,7 +88,7 @@ func statusOf(err error) int {
 	switch {
 	case errors.Is(err, errUnknownTenant):
 		return http.StatusNotFound
-	case errors.Is(err, errTenantExists):
+	case errors.Is(err, errTenantExists), errors.Is(err, errFallback):
 		return http.StatusConflict
 	case errors.Is(err, errNotReady):
 		return http.StatusServiceUnavailable
@@ -176,35 +176,38 @@ type tenantStatus struct {
 	Backend    string                   `json:"backend,omitempty"`
 	Generation uint64                   `json:"generation"`
 	Adaptive   string                   `json:"adaptive,omitempty"`
-	SwapGen    uint64                   `json:"swap_generation,omitempty"`
 	Drift      *telemetry.DriftSnapshot `json:"drift,omitempty"`
 	Since      time.Time                `json:"since"`
 	Created    time.Time                `json:"created"`
 }
 
-// status snapshots the tenant for the API.
+// status snapshots the tenant for the API. Once ready, generation,
+// backend and regex describe what the adaptive hash serves: the
+// generation is the one hash answers carry, and while the fallback
+// serves, backend is "fallback" and regex the registered spec.
 func (t *tenant) status() tenantStatus {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	st := tenantStatus{
-		Name:       t.name,
-		State:      t.state.String(),
-		Error:      t.errMsg,
-		Source:     t.source,
-		Regex:      t.spec,
-		Family:     t.family.String(),
-		Keyed:      t.keyed,
-		Generation: t.gen,
-		Since:      t.since,
-		Created:    t.created,
-	}
-	if t.fn != nil {
-		st.Backend = t.fn.Backend().String()
-		st.Regex = t.fn.Pattern().Regex()
+		Name:    t.name,
+		State:   t.state.String(),
+		Error:   t.errMsg,
+		Source:  t.source,
+		Regex:   t.spec,
+		Family:  t.family.String(),
+		Keyed:   t.keyed,
+		Since:   t.since,
+		Created: t.created,
 	}
 	if t.hash != nil {
+		fn, gen := serving(t.hash)
+		st.Generation = gen
+		st.Backend = "fallback"
+		if fn != nil {
+			st.Backend = fn.Backend().String()
+			st.Regex = fn.Pattern().Regex()
+		}
 		st.Adaptive = t.hash.State().String()
-		st.SwapGen = t.hash.Generation()
 		snap := t.hash.Monitor().Snapshot()
 		st.Drift = &snap
 	}
@@ -228,19 +231,34 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// ready returns the tenant's adaptive hash and latest fn, or an error
-// explaining why it cannot serve.
-func (t *tenant) ready() (*adaptive.Hash, *core.Fn, error) {
+// ready returns the tenant's adaptive hash, or an error explaining
+// why it cannot serve.
+func (t *tenant) ready() (*adaptive.Hash, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	switch t.state {
 	case stateReady:
-		return t.hash, t.fn, nil
+		return t.hash, nil
 	case statePending:
-		return nil, nil, fmt.Errorf("%w: %q is synthesizing", errNotReady, t.name)
+		return nil, fmt.Errorf("%w: %q is synthesizing", errNotReady, t.name)
 	default:
-		return nil, nil, fmt.Errorf("%w: %q failed: %s", errNotReady, t.name, t.errMsg)
+		return nil, fmt.Errorf("%w: %q failed: %s", errNotReady, t.name, t.errMsg)
 	}
+}
+
+// servingPlan returns the plan a ready tenant serves, or an error:
+// errFallback while the fallback serves, since there is no plan to
+// describe then.
+func (t *tenant) servingPlan() (*core.Fn, error) {
+	ah, err := t.ready()
+	if err != nil {
+		return nil, err
+	}
+	fn, _ := serving(ah)
+	if fn == nil {
+		return nil, fmt.Errorf("%w: %q has no plan until re-synthesis promotes one", errFallback, t.name)
+	}
+	return fn, nil
 }
 
 // hashRequest is the POST /v1/hash/{name} body: a single key or a
@@ -273,7 +291,7 @@ func (s *server) handleHash(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, statusOf(err), err)
 		return
 	}
-	ah, _, err := t.ready()
+	ah, err := t.ready()
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
 		s.jsonError(w, statusOf(err), err)
@@ -503,7 +521,7 @@ func (s *server) handleExport(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, statusOf(err), err)
 		return
 	}
-	_, fn, err := t.ready()
+	fn, err := t.servingPlan()
 	if err != nil {
 		s.jsonError(w, statusOf(err), err)
 		return
@@ -559,7 +577,7 @@ func (s *server) handleCertificate(w http.ResponseWriter, r *http.Request) {
 		s.jsonError(w, statusOf(err), err)
 		return
 	}
-	_, fn, err := t.ready()
+	fn, err := t.servingPlan()
 	if err != nil {
 		s.jsonError(w, statusOf(err), err)
 		return

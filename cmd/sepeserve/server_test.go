@@ -523,3 +523,159 @@ func TestRestartFromCache(t *testing.T) {
 	}
 	waitReady(t, ts2.URL, "mac")
 }
+
+// driftUntil hashes batches of keyOf(0), keyOf(1), … into the tenant
+// until its status satisfies done, and returns that status.
+func driftUntil(t *testing.T, base, name string, keyOf func(int) string, done func(tenantStatus) bool) tenantStatus {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; ; {
+		var st tenantStatus
+		doJSON(t, "GET", base+"/v1/formats/"+name, nil, &st)
+		if done(st) {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant %q: condition not reached after 20s (%d keys): %+v %+v", name, i, st, st.Drift)
+		}
+		keys := make([]string, 1024)
+		for j := range keys {
+			keys[j] = keyOf(i)
+			i++
+		}
+		if resp := doJSON(t, "POST", base+"/v1/hash/"+name, map[string]any{"keys": keys}, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("hash batch: status %d", resp.StatusCode)
+		}
+	}
+}
+
+// answerGeneration hashes one key and returns the generation the
+// answer carries.
+func answerGeneration(t *testing.T, base, name, key string) uint64 {
+	t.Helper()
+	var ans struct {
+		Generation uint64 `json:"generation"`
+	}
+	if resp := doJSON(t, "POST", base+"/v1/hash/"+name, map[string]string{"key": key}, &ans); resp.StatusCode != http.StatusOK {
+		t.Fatalf("hash: status %d", resp.StatusCode)
+	}
+	return ans.Generation
+}
+
+// exportedRegex fetches the tenant's plan export and returns the
+// status code and, on success, the exported plan's format.
+func exportedRegex(t *testing.T, base, name string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/formats/" + name + "/plan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, ""
+	}
+	d, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatalf("exported frame does not decode: %v", err)
+	}
+	return resp.StatusCode, d.Plan.Pattern.Regex()
+}
+
+// cachedRegex returns the format of the tenant's cache entry.
+func cachedRegex(t *testing.T, dir, name string) string {
+	t.Helper()
+	cache, err := wire.OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := cache.Load(name)
+	if err != nil {
+		t.Fatalf("cache entry %q: %v", name, err)
+	}
+	return d.Plan.Pattern.Regex()
+}
+
+// digits20 is the tenants' format in the drift tests below: off-format
+// keys of every shape they use hash to values that pass the adaptive
+// hash's sampling test about once in 250 calls, so drift shows up
+// within a few batches. (The SSN plans never sample many off-format
+// shapes: their values are constant in the tested bits.)
+const digits20 = `[0-9]{20}`
+
+// TestRejectedCandidateNeverSurfaces drifts a Naive tenant onto keys
+// of 16 digits whose two 8-byte halves are equal. Naive xors the
+// halves, so every re-synthesized candidate hashes them all to one
+// value; the healing loop's collision probe rejects each one until the
+// circuit breaker pins the fallback. No rejected candidate may reach
+// status, export, the certificate or the plan cache, before or after
+// shutdown.
+func TestRejectedCandidateNeverSurfaces(t *testing.T) {
+	dir := t.TempDir()
+	ts, reg := newTestServer(t, dir)
+	register(t, ts.URL, registerRequest{Name: "twin", Regex: digits20, Family: "naive"})
+	twin := func(i int) string {
+		half := fmt.Sprintf("%08d", i*7919%100000000)
+		return half + half
+	}
+	st := driftUntil(t, ts.URL, "twin", twin, func(st tenantStatus) bool { return st.Adaptive == "Pinned" })
+
+	if st.Backend != "fallback" || st.Regex != digits20 {
+		t.Errorf("status while the fallback serves: backend %q regex %q, want fallback %q", st.Backend, st.Regex, digits20)
+	}
+	if gen := answerGeneration(t, ts.URL, "twin", twin(1)); st.Generation != gen {
+		t.Errorf("status generation %d, hash answers carry %d", st.Generation, gen)
+	}
+	if code, _ := exportedRegex(t, ts.URL, "twin"); code != http.StatusConflict {
+		t.Errorf("export while the fallback serves: status %d, want 409", code)
+	}
+	if resp := doJSON(t, "GET", ts.URL+"/v1/formats/twin/certificate", nil, nil); resp.StatusCode != http.StatusConflict {
+		t.Errorf("certificate while the fallback serves: status %d, want 409", resp.StatusCode)
+	}
+	if got := cachedRegex(t, dir, "twin"); got != digits20 {
+		t.Errorf("cache holds %q, want the registered plan %q", got, digits20)
+	}
+	reg.close()
+	if got := cachedRegex(t, dir, "twin"); got != digits20 {
+		t.Errorf("cache after shutdown holds %q, want the registered plan %q", got, digits20)
+	}
+}
+
+// TestHealedPlanSurfacesEverywhere drifts a tenant onto MAC keys
+// until the healing loop promotes a MAC plan. Status must then report
+// the generation hash answers carry and describe the promoted plan,
+// export and the certificate must describe it too, and shutdown must
+// leave it in the plan cache.
+func TestHealedPlanSurfacesEverywhere(t *testing.T) {
+	dir := t.TempDir()
+	ts, reg := newTestServer(t, dir)
+	register(t, ts.URL, registerRequest{Name: "num", Regex: digits20})
+	mac := func(i int) string {
+		v := uint64(i) * 0x9E3779B97F4A7C15
+		return fmt.Sprintf("%02x-%02x-%02x-%02x-%02x-%02x", byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48))
+	}
+	st := driftUntil(t, ts.URL, "num", mac, func(st tenantStatus) bool { return st.Adaptive == "Recovered" })
+
+	if gen := answerGeneration(t, ts.URL, "num", mac(0)); st.Generation != gen || gen < 3 {
+		t.Errorf("status generation %d, hash answers carry %d; want the same, at least 3 (registered, fallback, promoted)", st.Generation, gen)
+	}
+	if st.Backend == "fallback" || !strings.Contains(st.Regex, "-") {
+		t.Fatalf("status after the heal: backend %q regex %q, want the promoted MAC plan", st.Backend, st.Regex)
+	}
+	if code, got := exportedRegex(t, ts.URL, "num"); code != http.StatusOK || got != st.Regex {
+		t.Errorf("export after the heal: status %d regex %q, want 200 %q", code, got, st.Regex)
+	}
+	var cert struct {
+		Certificate core.Certificate `json:"certificate"`
+	}
+	if resp := doJSON(t, "GET", ts.URL+"/v1/formats/num/certificate", nil, &cert); resp.StatusCode != http.StatusOK || cert.Certificate.Regex != st.Regex {
+		t.Errorf("certificate after the heal: status %d regex %q, want 200 %q", resp.StatusCode, cert.Certificate.Regex, st.Regex)
+	}
+	reg.close()
+	if got := cachedRegex(t, dir, "num"); got != st.Regex {
+		t.Errorf("cache after shutdown holds %q, want the promoted plan %q", got, st.Regex)
+	}
+}

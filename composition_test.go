@@ -319,8 +319,8 @@ func swappingHash(t *testing.T) *sepe.AdaptiveHash {
 		t.Fatal(err)
 	}
 	cfg := fastAdaptiveCfg()
-	cfg.Synthesize = func(context.Context, []string) (func(string) uint64, func(string) bool, error) {
-		return sepe.STLHash, func(string) bool { return true }, nil
+	cfg.Synthesize = func(context.Context, []string) (sepe.AdaptiveFunction, error) {
+		return stlAnyFormat{}, nil
 	}
 	ah, err := sepe.NewAdaptiveHash("composition", f, sepe.Pext, cfg)
 	if err != nil {
@@ -329,6 +329,13 @@ func swappingHash(t *testing.T) *sepe.AdaptiveHash {
 	t.Cleanup(ah.Close)
 	return ah
 }
+
+// stlAnyFormat is an AdaptiveFunction serving STLHash over a format
+// that admits every key.
+type stlAnyFormat struct{}
+
+func (stlAnyFormat) Func() sepe.HashFunc { return sepe.STLHash }
+func (stlAnyFormat) Matches(string) bool { return true }
 
 // forceDrift hashes off-format keys until the hash falls back.
 func forceDrift(ah *sepe.AdaptiveHash) {

@@ -39,7 +39,6 @@ import (
 	"github.com/sepe-go/sepe/internal/core"
 	"github.com/sepe-go/sepe/internal/hashes"
 	"github.com/sepe-go/sepe/internal/infer"
-	"github.com/sepe-go/sepe/internal/pattern"
 	"github.com/sepe-go/sepe/internal/seed"
 	"github.com/sepe-go/sepe/internal/telemetry"
 )
@@ -98,50 +97,49 @@ func (s State) String() string {
 	}
 }
 
-// Synthesizer produces a replacement hash function from sample keys:
-// the returned matcher is the membership predicate of the re-inferred
-// format, used to re-aim the drift monitor. Implementations must honor
-// ctx cancellation between expensive steps.
-type Synthesizer func(ctx context.Context, keys []string) (fn hashes.Func, matches func(string) bool, err error)
-
-// NewSynthesizer returns the standard Synthesizer: re-infer the format
-// from the deduplicated sample keys (quad-semilattice join) and
-// synthesize a function of the given family for it.
-func NewSynthesizer(fam core.Family, opts core.Options) Synthesizer {
-	return func(ctx context.Context, keys []string) (hashes.Func, func(string) bool, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		pat, err := infer.Infer(dedup(keys))
-		if err != nil {
-			return nil, nil, fmt.Errorf("adaptive: re-infer: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		fn, err := core.Synthesize(pat, fam, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("adaptive: re-synthesize: %w", err)
-		}
-		return fn.Func(), matcherOf(pat), nil
-	}
+// Function is a hash function together with the format it was
+// specialized to: what a Hash serves, and what a Synthesizer produces.
+// Matches is the format's membership predicate, against which the
+// drift monitor judges the key stream. *core.Fn implements it.
+type Function interface {
+	Func() hashes.Func
+	Matches(key string) bool
 }
 
-func matcherOf(p *pattern.Pattern) func(string) bool { return p.Matches }
+// Synthesizer produces a replacement Function from sample keys.
+// Implementations must honor ctx cancellation between expensive steps.
+type Synthesizer func(ctx context.Context, keys []string) (Function, error)
 
-// NewSeededSynthesizer is NewSynthesizer with seed rotation: every
-// invocation — that is, every re-synthesis attempt of the healing loop
-// — keys the candidate function with a fresh random seed, discarding
-// the one in opts. A flood that cornered the old seed (or a leak of
-// it) therefore does not survive recovery: the promoted function's
-// placement is fresh, and the hot-swap machinery publishes it with the
-// same single atomic store as any other promotion.
-func NewSeededSynthesizer(fam core.Family, opts core.Options) Synthesizer {
-	base := func(o core.Options) Synthesizer { return NewSynthesizer(fam, o) }
-	return func(ctx context.Context, keys []string) (hashes.Func, func(string) bool, error) {
+// NewSynthesizer returns the standard Synthesizer: re-infer the format
+// from the sample keys (quad-semilattice join) and synthesize a
+// function of the given family for it. When opts carries a seed, every
+// call — that is, every re-synthesis attempt of the healing loop —
+// keys the candidate with a fresh random seed instead. A flood that
+// cornered the old seed (or a leak of it) therefore does not survive
+// recovery: the promoted function's placement is fresh, and the
+// hot-swap machinery publishes it with the same single atomic store as
+// any other promotion.
+func NewSynthesizer(fam core.Family, opts core.Options) Synthesizer {
+	return func(ctx context.Context, keys []string) (Function, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		pat, err := infer.Infer(keys)
+		if err != nil {
+			return nil, fmt.Errorf("adaptive: re-infer: %w", err)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		o := opts
-		o.Seed = seed.New()
-		return base(o)(ctx, keys)
+		if o.Seed != nil {
+			o.Seed = seed.New()
+		}
+		fn, err := core.Synthesize(pat, fam, o)
+		if err != nil {
+			return nil, fmt.Errorf("adaptive: re-synthesize: %w", err)
+		}
+		return fn, nil
 	}
 }
 
@@ -150,11 +148,12 @@ func NewSeededSynthesizer(fam core.Family, opts core.Options) Synthesizer {
 type Config struct {
 	// SampleEvery samples roughly one in n hash calls for drift
 	// observation, by testing hash bits (rounded down to a power of
-	// two; default 256, in line with the telemetry instrumentation's
-	// 1-in-512 — the observation itself costs a mutex plus a format
-	// match, so it dominates the wrapper's overhead). Lower values
-	// detect drift sooner and cost more per call. 1 observes every
-	// call.
+	// two; default 256). The observation costs a mutex plus a format
+	// match, so it dominates the wrapper's overhead. Lower values
+	// detect drift sooner and cost more per call; 1 observes every
+	// call. For comparison, the telemetry instrumentation checks one
+	// call in 2048: it hands its monitor one key per 256 calls, and a
+	// default monitor checks one batch of those in 8.
 	SampleEvery int
 	// ReservoirSize bounds the ring of recently observed keys the
 	// re-synthesis feeds on (default 512).
@@ -241,6 +240,12 @@ func (c Config) withDefaults() Config {
 type variant struct {
 	fn  hashes.Func
 	gen uint64
+	// serving is the Function fn belongs to; nil while the fallback
+	// serves.
+	serving Function
+	// format is the last promoted Function, the one the drift monitor
+	// judges keys against: serving, or the format that drifted away.
+	format Function
 }
 
 // Hash is a self-healing hash function. All methods are safe for
@@ -250,9 +255,8 @@ type Hash struct {
 	cfg  Config
 	mask uint64 // hash-bit sampling mask (SampleEvery-1, power of two)
 
-	cur     atomic.Pointer[variant]
-	state   atomic.Int32
-	matcher atomic.Pointer[func(string) bool]
+	cur   atomic.Pointer[variant]
+	state atomic.Int32
 
 	monitor *telemetry.DriftMonitor
 	metrics *telemetry.AdaptiveMetrics
@@ -271,18 +275,14 @@ type Hash struct {
 // Errors returned by New.
 var (
 	ErrNilHash        = errors.New("adaptive: nil hash function")
-	ErrNilMatcher     = errors.New("adaptive: nil format matcher")
 	ErrNilSynthesizer = errors.New("adaptive: nil synthesizer")
 )
 
-// New wraps the specialized function fn, whose format membership
-// predicate is matches, into a self-healing hash named name.
-func New(name string, fn hashes.Func, matches func(string) bool, cfg Config) (*Hash, error) {
+// New wraps the specialized Function fn into a self-healing hash named
+// name.
+func New(name string, fn Function, cfg Config) (*Hash, error) {
 	if fn == nil {
 		return nil, ErrNilHash
-	}
-	if matches == nil {
-		return nil, ErrNilMatcher
 	}
 	if cfg.Synthesize == nil {
 		return nil, ErrNilSynthesizer
@@ -303,14 +303,13 @@ func New(name string, fn hashes.Func, matches func(string) bool, cfg Config) (*H
 		baseCtx: ctx,
 		stop:    stop,
 	}
-	h.cur.Store(&variant{fn: fn, gen: 1})
-	h.matcher.Store(&matches)
+	h.cur.Store(&variant{fn: fn.Func(), gen: 1, serving: fn, format: fn})
 	h.metrics = cfg.Registry.NewAdaptive(name)
 	h.rec = cfg.Registry.Recorder()
 	h.setState(StateSpecialized)
 
 	// The monitor checks keys against whatever format is currently
-	// promoted, through the matcher pointer: after a recovery it
+	// promoted, through the active variant: after a recovery it
 	// automatically judges the stream against the re-inferred format.
 	dcfg := cfg.Drift
 	dcfg.SampleEvery = 1 // the wrapper pre-samples
@@ -322,7 +321,7 @@ func New(name string, fn hashes.Func, matches func(string) bool, cfg Config) (*H
 		}
 	}
 	h.monitor = cfg.Registry.NewDrift(name, func(key string) bool {
-		return (*h.matcher.Load())(key)
+		return h.cur.Load().format.Matches(key)
 	}, dcfg)
 	return h, nil
 }
@@ -414,6 +413,15 @@ func (h *Hash) Generation() uint64 { return h.cur.Load().gen }
 // migration machinery).
 func (h *Hash) Current() hashes.Func { return h.cur.Load().fn }
 
+// Serving returns the Function the hash serves and its generation,
+// from one load, so the pair always describes the same swap: the
+// generation is the one HashGen and HashBatch report for values that
+// Function produced. The Function is nil while the fallback serves.
+func (h *Hash) Serving() (Function, uint64) {
+	v := h.cur.Load()
+	return v.serving, v.gen
+}
+
 // Monitor returns the wrapper's drift monitor.
 func (h *Hash) Monitor() *telemetry.DriftMonitor { return h.monitor }
 
@@ -443,10 +451,15 @@ func (h *Hash) setState(s State) {
 	h.metrics.SetState(int64(s), s.String(), healthOf(s))
 }
 
-// swap atomically installs fn as the active function.
-func (h *Hash) swap(fn hashes.Func) {
+// swap atomically installs fn as the serving Function, or the
+// fallback when fn is nil.
+func (h *Hash) swap(fn Function) {
 	old := h.cur.Load()
-	h.cur.Store(&variant{fn: fn, gen: old.gen + 1})
+	v := &variant{fn: h.cfg.Fallback, gen: old.gen + 1, format: old.format}
+	if fn != nil {
+		v.fn, v.serving, v.format = fn.Func(), fn, fn
+	}
+	h.cur.Store(v)
 	h.metrics.Generation()
 }
 
@@ -465,7 +478,7 @@ func (h *Hash) degrade() {
 	h.mu.Unlock()
 
 	h.setState(StateDegraded)
-	h.swap(h.cfg.Fallback)
+	h.swap(nil)
 	// Only keys observed after the swap describe the drifted stream;
 	// a reservoir polluted with pre-drift keys would re-infer the
 	// format that just failed.
@@ -502,11 +515,11 @@ func (h *Hash) heal(done chan struct{}) {
 		endAttempt := telemetry.StartEvent(h.rec, "adaptive", "adaptive.resynth",
 			telemetry.Str("hash", h.name), telemetry.Int("attempt", attempt+1))
 		actx, cancel := context.WithTimeout(h.baseCtx, h.cfg.AttemptTimeout)
-		fn, matches, err := h.attempt(actx)
+		fn, err := h.attempt(actx)
 		cancel()
 		endAttempt(telemetry.Bool("ok", err == nil))
 		if err == nil {
-			h.promote(fn, matches)
+			h.promote(fn)
 			return
 		}
 		h.metrics.Failure()
@@ -519,17 +532,17 @@ func (h *Hash) heal(done chan struct{}) {
 
 // attempt runs one re-synthesis: wait for enough post-drift keys,
 // synthesize, then validate the candidate against a fresh snapshot.
-func (h *Hash) attempt(ctx context.Context) (hashes.Func, func(string) bool, error) {
+func (h *Hash) attempt(ctx context.Context) (Function, error) {
 	keys, err := h.waitForKeys(ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	fn, matches, err := h.cfg.Synthesize(ctx, keys)
+	fn, err := h.cfg.Synthesize(ctx, keys)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Validate against the *current* reservoir, not the snapshot the
 	// candidate was inferred from: a stream still churning through
@@ -540,22 +553,22 @@ func (h *Hash) attempt(ctx context.Context) (hashes.Func, func(string) bool, err
 	}
 	matched := 0
 	for _, k := range fresh {
-		if matches(k) {
+		if fn.Matches(k) {
 			matched++
 		}
 	}
 	if rate := float64(matched) / float64(len(fresh)); rate < h.cfg.MinMatchRate {
-		return nil, nil, fmt.Errorf("adaptive: candidate format matches %.2f of fresh keys, need %.2f", rate, h.cfg.MinMatchRate)
+		return nil, fmt.Errorf("adaptive: candidate format matches %.2f of fresh keys, need %.2f", rate, h.cfg.MinMatchRate)
 	}
 	uniq := dedup(fresh)
-	candColl := collProbe(fn, uniq)
+	candColl := collProbe(fn.Func(), uniq)
 	fallColl := collProbe(h.cfg.Fallback, uniq)
 	// The +2 absolute slack keeps tiny samples from rejecting a good
 	// candidate when the fallback happens to probe collision-free.
 	if float64(candColl) > h.cfg.MaxCollisionRatio*float64(fallColl)+2 {
-		return nil, nil, fmt.Errorf("adaptive: candidate bucket collisions %d vs fallback %d exceed ratio %.1f", candColl, fallColl, h.cfg.MaxCollisionRatio)
+		return nil, fmt.Errorf("adaptive: candidate bucket collisions %d vs fallback %d exceed ratio %.1f", candColl, fallColl, h.cfg.MaxCollisionRatio)
 	}
-	return fn, matches, nil
+	return fn, nil
 }
 
 // waitForKeys blocks until the reservoir holds MinKeys post-drift
@@ -578,12 +591,11 @@ func (h *Hash) waitForKeys(ctx context.Context) ([]string, error) {
 	}
 }
 
-// promote installs a validated candidate: re-aim the drift monitor at
-// the re-inferred format, swap the function, and reset the monitor so
-// the new generation starts with a clean window and a re-armed
-// OnDegrade — a later second drift restarts the whole cycle.
-func (h *Hash) promote(fn hashes.Func, matches func(string) bool) {
-	h.matcher.Store(&matches)
+// promote installs a validated candidate: swap it in, which also
+// re-aims the drift monitor at the re-inferred format, and reset the
+// monitor so the new generation starts with a clean window and a
+// re-armed OnDegrade — a later second drift restarts the whole cycle.
+func (h *Hash) promote(fn Function) {
 	h.swap(fn)
 	h.monitor.Reset()
 	h.metrics.Success()

@@ -41,6 +41,16 @@ func isNew(k string) bool {
 	return true
 }
 
+// fake is a test Function: any hash function paired with any format
+// predicate.
+type fake struct {
+	hash    hashes.Func
+	matches func(string) bool
+}
+
+func (f *fake) Func() hashes.Func       { return f.hash }
+func (f *fake) Matches(key string) bool { return f.matches(key) }
+
 func oldKey(i int) string { return fmt.Sprintf("%08d", i) }
 
 func newKey(i int) string {
@@ -82,11 +92,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestAdaptiveStaysSpecializedOnConformingStream(t *testing.T) {
-	synth := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
+	synth := func(context.Context, []string) (Function, error) {
 		t.Error("synthesizer invoked on a conforming stream")
-		return nil, nil, errors.New("unexpected")
+		return nil, errors.New("unexpected")
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,21 +107,22 @@ func TestAdaptiveStaysSpecializedOnConformingStream(t *testing.T) {
 	if got := h.State(); got != StateSpecialized {
 		t.Fatalf("state = %v, want Specialized", got)
 	}
-	if g := h.Generation(); g != 1 {
-		t.Fatalf("generation = %d, want 1", g)
+	if f, g := h.Serving(); f == nil || g != 1 {
+		t.Fatalf("Serving() = %v, %d; want the original Function at generation 1", f, g)
 	}
 }
 
 func TestAdaptiveDegradesSwapsAndRecovers(t *testing.T) {
 	var synthKeys []string
 	var mu sync.Mutex
-	synth := func(_ context.Context, keys []string) (hashes.Func, func(string) bool, error) {
+	cand := &fake{hashes.FNV, isNew}
+	synth := func(_ context.Context, keys []string) (Function, error) {
 		mu.Lock()
 		synthKeys = append([]string(nil), keys...)
 		mu.Unlock()
-		return hashes.FNV, isNew, nil
+		return cand, nil
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +146,9 @@ func TestAdaptiveDegradesSwapsAndRecovers(t *testing.T) {
 	// Generation: 1 original → 2 fallback → 3 promoted.
 	if g := h.Generation(); g != 3 {
 		t.Fatalf("generation = %d, want 3", g)
+	}
+	if f, g := h.Serving(); f != cand || g != 3 {
+		t.Fatalf("Serving() = %v, %d; want the candidate at generation 3", f, g)
 	}
 	// The synthesizer only saw post-drift keys.
 	mu.Lock()
@@ -163,14 +177,14 @@ func TestAdaptiveSecondDriftRestartsCycle(t *testing.T) {
 	fns := []hashes.Func{hashes.FNV, hashes.Abseil}
 	var calls int
 	var mu sync.Mutex
-	synth := func(_ context.Context, keys []string) (hashes.Func, func(string) bool, error) {
+	synth := func(_ context.Context, keys []string) (Function, error) {
 		mu.Lock()
 		n := calls
 		calls++
 		mu.Unlock()
-		return fns[n%2], matchers[n%2], nil
+		return &fake{fns[n%2], matchers[n%2]}, nil
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +216,10 @@ func TestAdaptiveSecondDriftRestartsCycle(t *testing.T) {
 
 func TestAdaptiveCircuitBreakerPinsFallback(t *testing.T) {
 	boom := errors.New("no format in this mess")
-	synth := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return nil, nil, boom
+	synth := func(context.Context, []string) (Function, error) {
+		return nil, boom
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +239,9 @@ func TestAdaptiveCircuitBreakerPinsFallback(t *testing.T) {
 		t.Fatal("pinned hash is not the fallback")
 	}
 	gen := h.Generation()
+	if f, g := h.Serving(); f != nil || g != gen {
+		t.Fatalf("pinned Serving() = %v, %d; want nil (fallback) at generation %d", f, g, gen)
+	}
 	for j := 0; j < 2000; j++ {
 		h.Hash(newKey(j))
 	}
@@ -241,10 +258,10 @@ func TestAdaptiveCircuitBreakerPinsFallback(t *testing.T) {
 func TestAdaptiveValidationRejectsNonMatchingCandidate(t *testing.T) {
 	// The candidate's matcher rejects everything: validation must fail
 	// every attempt and trip the breaker.
-	synth := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return hashes.FNV, func(string) bool { return false }, nil
+	synth := func(context.Context, []string) (Function, error) {
+		return &fake{hashes.FNV, func(string) bool { return false }}, nil
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +283,10 @@ func TestAdaptiveValidationRejectsNonMatchingCandidate(t *testing.T) {
 func TestAdaptiveValidationRejectsCollapsingCandidate(t *testing.T) {
 	// The candidate matches the stream but hashes everything to 42:
 	// the collision probe must reject it.
-	synth := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return func(string) uint64 { return 42 }, isNew, nil
+	synth := func(context.Context, []string) (Function, error) {
+		return &fake{func(string) uint64 { return 42 }, isNew}, nil
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,14 +306,14 @@ func TestAdaptiveValidationRejectsCollapsingCandidate(t *testing.T) {
 }
 
 func TestAdaptiveAttemptTimeout(t *testing.T) {
-	synth := func(ctx context.Context, _ []string) (hashes.Func, func(string) bool, error) {
+	synth := func(ctx context.Context, _ []string) (Function, error) {
 		<-ctx.Done() // simulate a hung synthesis; must be cancelled
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 	cfg := fastCfg(synth)
 	cfg.MaxAttempts = 2
 	cfg.AttemptTimeout = 20 * time.Millisecond
-	h, err := New("t", hashes.City, isOld, cfg)
+	h, err := New("t", &fake{hashes.City, isOld}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +334,14 @@ func TestAdaptiveAttemptTimeout(t *testing.T) {
 
 func TestAdaptiveCloseStopsHealPromptly(t *testing.T) {
 	started := make(chan struct{})
-	synth := func(ctx context.Context, _ []string) (hashes.Func, func(string) bool, error) {
+	synth := func(ctx context.Context, _ []string) (Function, error) {
 		close(started)
 		<-ctx.Done()
-		return nil, nil, ctx.Err()
+		return nil, ctx.Err()
 	}
 	cfg := fastCfg(synth)
 	cfg.AttemptTimeout = time.Hour // only Close can unblock the attempt
-	h, err := New("t", hashes.City, isOld, cfg)
+	h, err := New("t", &fake{hashes.City, isOld}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +375,10 @@ func TestAdaptiveCloseStopsHealPromptly(t *testing.T) {
 }
 
 func TestAdaptiveConcurrentHashDuringDrift(t *testing.T) {
-	synth := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return hashes.FNV, isNew, nil
+	synth := func(context.Context, []string) (Function, error) {
+		return &fake{hashes.FNV, isNew}, nil
 	}
-	h, err := New("t", hashes.City, isOld, fastCfg(synth))
+	h, err := New("t", &fake{hashes.City, isOld}, fastCfg(synth))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,16 +406,13 @@ func TestAdaptiveConcurrentHashDuringDrift(t *testing.T) {
 }
 
 func TestNewRejectsNilArguments(t *testing.T) {
-	ok := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return hashes.FNV, isNew, nil
+	ok := func(context.Context, []string) (Function, error) {
+		return &fake{hashes.FNV, isNew}, nil
 	}
-	if _, err := New("t", nil, isOld, Config{Synthesize: ok}); !errors.Is(err, ErrNilHash) {
+	if _, err := New("t", nil, Config{Synthesize: ok}); !errors.Is(err, ErrNilHash) {
 		t.Fatalf("nil fn: err = %v", err)
 	}
-	if _, err := New("t", hashes.City, nil, Config{Synthesize: ok}); !errors.Is(err, ErrNilMatcher) {
-		t.Fatalf("nil matcher: err = %v", err)
-	}
-	if _, err := New("t", hashes.City, isOld, Config{}); !errors.Is(err, ErrNilSynthesizer) {
+	if _, err := New("t", &fake{hashes.City, isOld}, Config{}); !errors.Is(err, ErrNilSynthesizer) {
 		t.Fatalf("nil synthesizer: err = %v", err)
 	}
 }
@@ -454,10 +468,11 @@ func TestGenerationMatchesPinnedVariant(t *testing.T) {
 	fnOf := func(gen uint64) hashes.Func {
 		return func(k string) uint64 { return hashes.FNV(k)&(1<<48-1) | gen<<48 }
 	}
-	never := func(context.Context, []string) (hashes.Func, func(string) bool, error) {
-		return nil, nil, errors.New("unexpected re-synthesis")
+	never := func(context.Context, []string) (Function, error) {
+		return nil, errors.New("unexpected re-synthesis")
 	}
-	h, err := New("t", fnOf(1), func(string) bool { return true }, fastCfg(never))
+	all := func(string) bool { return true }
+	h, err := New("t", &fake{fnOf(1), all}, fastCfg(never))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +514,7 @@ func TestGenerationMatchesPinnedVariant(t *testing.T) {
 		case <-hashed:
 			swapping = false
 		default:
-			h.swap(fnOf(h.Generation() + 1))
+			h.swap(&fake{fnOf(h.Generation() + 1), all})
 		}
 	}
 	if h.Generation() < 2 {

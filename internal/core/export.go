@@ -50,16 +50,18 @@ func FromPlan(p *Plan, opts Options) (*Fn, error) {
 	if err := p.Pattern.Validate(); err != nil {
 		return nil, err
 	}
-	if err := VerifyPlan(p); err != nil {
-		return nil, fmt.Errorf("core: deserialized plan rejected: %w", err)
-	}
 	if opts.Seed != nil {
 		p.Seed = deriveSeed(opts.Seed, opts.Recorder)
 	}
-	if opts.RequireBijective {
-		if c := Certify(p); !c.Bijective {
-			return nil, fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
-		}
+	// One certificate serves both gates. The seed's post-mix is
+	// rank-certified at derivation and preserves the plan's rank, so
+	// certifying the keyed plan reaches the unkeyed plan's verdicts.
+	c := Certify(p)
+	if err := refuted(c); err != nil {
+		return nil, fmt.Errorf("core: deserialized plan rejected: %w", err)
+	}
+	if opts.RequireBijective && !c.Bijective {
+		return nil, fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
 	}
 	hash := p.Compile()
 	return &Fn{plan: p, hash: hash}, nil

@@ -33,25 +33,26 @@ func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
 		telemetry.Bool("seeded", plan.Seed != nil))
 	verifyDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.verify",
 		telemetry.Str("family", fam.String()))
-	if err := VerifyPlan(plan); err != nil {
+	// One certificate serves both gates: VerifyPlan's structural check
+	// and the optional bijectivity proof.
+	c := Certify(plan)
+	if err := refuted(c); err != nil {
 		verifyDone(telemetry.Str("error", err.Error()))
 		return nil, err
 	}
-	if opts.RequireBijective {
-		if c := Certify(plan); !c.Bijective {
-			err := fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
-			attrs := []telemetry.Attr{telemetry.Str("error", err.Error())}
-			if c.Counterexample != nil {
-				// Counterexample keys are user data: mark them sensitive
-				// so trace exports route them through the installed
-				// redactor, like the SLO exemplars.
-				attrs = append(attrs,
-					telemetry.Sensitive("counterexample_key1", c.Counterexample.Key1),
-					telemetry.Sensitive("counterexample_key2", c.Counterexample.Key2))
-			}
-			verifyDone(attrs...)
-			return nil, err
+	if opts.RequireBijective && !c.Bijective {
+		err := fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
+		attrs := []telemetry.Attr{telemetry.Str("error", err.Error())}
+		if c.Counterexample != nil {
+			// Counterexample keys are user data: mark them sensitive
+			// so trace exports route them through the installed
+			// redactor, like the SLO exemplars.
+			attrs = append(attrs,
+				telemetry.Sensitive("counterexample_key1", c.Counterexample.Key1),
+				telemetry.Sensitive("counterexample_key2", c.Counterexample.Key2))
 		}
+		verifyDone(attrs...)
+		return nil, err
 	}
 	verifyDone()
 	compileDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.compile",
@@ -110,6 +111,9 @@ func (f *Fn) Family() Family { return f.plan.Family }
 
 // Pattern returns the key format the function is specialized to.
 func (f *Fn) Pattern() *pattern.Pattern { return f.plan.Pattern }
+
+// Matches reports whether key belongs to the function's format.
+func (f *Fn) Matches(key string) bool { return f.plan.Pattern.Matches(key) }
 
 // Backend returns the execution tier the function was compiled to.
 func (f *Fn) Backend() Backend { return f.plan.Backend }

@@ -30,8 +30,17 @@ func VerifyPlan(p *Plan) error {
 	if p.Fallback {
 		return nil // nothing synthesized
 	}
-	if fs := Certify(p).Findings; len(fs) > 0 {
-		return errors.New(fs[0])
+	return refuted(Certify(p))
+}
+
+// refuted is VerifyPlan's verdict read off a certificate the caller
+// already holds: its first finding, as an error. A fallback plan's
+// certificate has no findings (a seed's post-mix is rank-certified
+// when it is derived), so the verdict agrees with VerifyPlan's early
+// return.
+func refuted(c *Certificate) error {
+	if len(c.Findings) > 0 {
+		return errors.New(c.Findings[0])
 	}
 	return nil
 }

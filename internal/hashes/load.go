@@ -12,8 +12,8 @@ package hashes
 // Func is the common shape of every hash function in this repository:
 // a map from string keys to 64-bit hash codes. It is an alias, not a
 // defined type, so values cross freely between internal signatures and
-// the public API's HashFunc (including function types built from
-// either, such as the adaptive Synthesizer).
+// the public API's HashFunc (including signatures built from either,
+// such as the Func method of the adaptive Function interface).
 type Func = func(key string) uint64
 
 // LoadU64 reads 8 bytes of s at offset i, little-endian, mirroring the

@@ -69,6 +69,21 @@ func TestInferMixedLengths(t *testing.T) {
 	if !p.Matches("JFK") || !p.Matches("RJTT") {
 		t.Error("pattern must match its own examples")
 	}
+	// The join is idempotent, so repeated keys change nothing: callers
+	// need not deduplicate a sample before inferring from it.
+	dup, err := Infer([]string{"JFK", "JFK", "GRU", "RJTT", "GRU", "RJTT", "JFK"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.MinLen != p.MinLen || dup.MaxLen != p.MaxLen || dup.Regex() != p.Regex() {
+		t.Errorf("duplicated keys inferred [%d,%d] %q, want [%d,%d] %q",
+			dup.MinLen, dup.MaxLen, dup.Regex(), p.MinLen, p.MaxLen, p.Regex())
+	}
+	for i := range p.Bytes {
+		if dup.Bytes[i] != p.Bytes[i] {
+			t.Errorf("byte %d with duplicates = %+v, want %+v", i, dup.Bytes[i], p.Bytes[i])
+		}
+	}
 }
 
 // TestInferSound is the central soundness property: the inferred

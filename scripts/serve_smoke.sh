@@ -4,10 +4,12 @@
 # Exercises the full serving life cycle the unit tests cover only
 # in-process: start the daemon with a plan cache, register a format,
 # poll readiness, hash single and batch keys (the batch answer checked
-# byte for byte against the single-key hashes), export the plan, restart
-# the daemon, verify the warm start served the cached plan (same hash,
-# no re-synthesis), import the exported plan under a new name, and shut
-# down cleanly on SIGTERM. Any failed step exits non-zero.
+# byte for byte against the single-key hashes), check that the status
+# endpoint reports the generation the hash answers carry, export the
+# plan, restart the daemon, verify the warm start served the cached
+# plan (same hash, no re-synthesis), import the exported plan under a
+# new name, and shut down cleanly on SIGTERM. Any failed step exits
+# non-zero.
 #
 # Usage: scripts/serve_smoke.sh [port]   (default 18321)
 set -eu
@@ -99,6 +101,18 @@ curl -sf "$BASE/v1/hash/ssn" -d '{"keys":["123-45-6789","987-65-4321"]}' \
     -o "$DIR/batch.got" || fail "batch hash failed"
 cmp -s "$DIR/batch.want" "$DIR/batch.got" \
     || fail "batch answer $(cat "$DIR/batch.got"), want $(cat "$DIR/batch.want")"
+
+echo "serve-smoke: status generation"
+# Status reports the generation hash answers carry, and no other.
+STATUS=$(curl -sf "$BASE/v1/formats/ssn") || fail "status request failed"
+SG=$(printf '%s\n' "$STATUS" | sed -n 's/^  "generation": \([0-9]*\),$/\1/p')
+AG=$(curl -sf "$BASE/v1/hash/ssn" -d '{"key":"123-45-6789"}' \
+    | sed -n 's/^{"generation":\([0-9]*\),.*/\1/p')
+[ -n "$SG" ] && [ "$SG" = "$AG" ] \
+    || fail "status generation '$SG', hash answers carry '$AG'"
+if printf '%s\n' "$STATUS" | grep -q swap_generation; then
+    fail "status still reports swap_generation"
+fi
 
 echo "serve-smoke: export"
 curl -sf "$BASE/v1/formats/ssn/plan" -o "$DIR/ssn.sepeplan" || fail "plan export failed"
