@@ -31,9 +31,9 @@ const (
 )
 
 // AdaptiveConfig tunes a self-healing hash; the zero value selects
-// defaults throughout (sample 1/64, reservoir 512, 4 attempts with
-// 50ms..2s backoff, 10s attempt timeout, STL fallback, the default
-// metrics registry).
+// defaults throughout (observe 1 call in 256, reservoir 512, 4
+// attempts with 50ms..2s backoff, 10s attempt timeout, STL fallback,
+// the default metrics registry).
 type AdaptiveConfig = adaptive.Config
 
 // AdaptiveFunction is what an adaptive hash serves and an
@@ -133,8 +133,9 @@ func (h *AdaptiveHash) Close() { h.a.Close() }
 
 // HashBatch hashes keys[i] into out[i] with the active function
 // pinned once for the whole batch (one atomic load per batch instead
-// of per key). Drift sampling still applies per key, so batch callers
-// detect format drift at the same rate as single-call loops.
+// of per key). The batch counts as len(keys) calls toward drift
+// sampling, so batch callers hand the drift monitor the same keys as
+// single-call loops.
 func (h *AdaptiveHash) HashBatch(keys []string, out []uint64) { h.a.HashBatch(keys, out) }
 
 // Containers built from an AdaptiveHash (NewMap(h) and the other
@@ -146,9 +147,9 @@ func (h *AdaptiveHash) HashBatch(keys []string, out []uint64) { h.a.HashBatch(ke
 // shard with its own dual-region drain, stepped round-robin, so other
 // shards' readers never wait on a draining shard; routing keeps the
 // construction-time hash, which needs only determinism and spread.
-// Operations also feed every K-th key to the drift monitor —
-// deterministic observation that works even when drifted hash values
-// defeat the hash-bit sampling of AdaptiveHash.
+// The containers hash with the pinned function rather than through
+// AdaptiveHash.Hash, so they bypass its call counter and feed every
+// K-th key to the drift monitor on their own count.
 const (
 	// adaptiveCheckEvery is how often (in ops, power of two) the tick
 	// looks at the shared hash at all — the generation test is two

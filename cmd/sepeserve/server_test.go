@@ -599,12 +599,34 @@ func cachedRegex(t *testing.T, dir, name string) string {
 	return d.Plan.Pattern.Regex()
 }
 
-// digits20 is the tenants' format in the drift tests below: off-format
-// keys of every shape they use hash to values that pass the adaptive
-// hash's sampling test about once in 250 calls, so drift shows up
-// within a few batches. (The SSN plans never sample many off-format
-// shapes: their values are constant in the tested bits.)
+// digits20 is the registered format of the two drift tests below:
+// the 16-digit keys of the first and the MAC keys of the second are
+// both off-format for it.
 const digits20 = `[0-9]{20}`
+
+// macKey returns the i-th of a stream of distinct MAC addresses.
+func macKey(i int) string {
+	v := uint64(i) * 0x9E3779B97F4A7C15
+	return fmt.Sprintf("%02x-%02x-%02x-%02x-%02x-%02x", byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48))
+}
+
+// TestSSNTenantsHealFromMACDrift drifts SSN tenants of the families
+// that do not mix onto MAC keys. Their hash values on those keys carry
+// no sign of the drift, so the adaptive hash must pick the keys it
+// checks by call count for the tenant to notice, fall back and promote
+// a MAC plan.
+func TestSSNTenantsHealFromMACDrift(t *testing.T) {
+	ts, _ := newTestServer(t, t.TempDir())
+	for _, fam := range []string{"pext", "naive", "offxor"} {
+		t.Run(fam, func(t *testing.T) {
+			register(t, ts.URL, registerRequest{Name: fam, Regex: ssnRegex, Family: fam})
+			st := driftUntil(t, ts.URL, fam, macKey, func(st tenantStatus) bool { return st.Adaptive == "Recovered" })
+			if st.Backend == "fallback" || strings.Count(st.Regex, "-") != 5 {
+				t.Errorf("status after the heal: backend %q regex %q, want a promoted MAC plan", st.Backend, st.Regex)
+			}
+		})
+	}
+}
 
 // TestRejectedCandidateNeverSurfaces drifts a Naive tenant onto keys
 // of 16 digits whose two 8-byte halves are equal. Naive xors the
@@ -653,13 +675,9 @@ func TestHealedPlanSurfacesEverywhere(t *testing.T) {
 	dir := t.TempDir()
 	ts, reg := newTestServer(t, dir)
 	register(t, ts.URL, registerRequest{Name: "num", Regex: digits20})
-	mac := func(i int) string {
-		v := uint64(i) * 0x9E3779B97F4A7C15
-		return fmt.Sprintf("%02x-%02x-%02x-%02x-%02x-%02x", byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48))
-	}
-	st := driftUntil(t, ts.URL, "num", mac, func(st tenantStatus) bool { return st.Adaptive == "Recovered" })
+	st := driftUntil(t, ts.URL, "num", macKey, func(st tenantStatus) bool { return st.Adaptive == "Recovered" })
 
-	if gen := answerGeneration(t, ts.URL, "num", mac(0)); st.Generation != gen || gen < 3 {
+	if gen := answerGeneration(t, ts.URL, "num", macKey(0)); st.Generation != gen || gen < 3 {
 		t.Errorf("status generation %d, hash answers carry %d; want the same, at least 3 (registered, fallback, promoted)", st.Generation, gen)
 	}
 	if st.Backend == "fallback" || !strings.Contains(st.Regex, "-") {

@@ -157,10 +157,9 @@ func newDemo(offformat float64) (*demo, error) {
 			fn = h.Func()
 		}
 		hm := reg.NewHash(t.Name())
-		// Instrument already samples which keys reach the monitor, so
-		// check every one it forwards, and let a demo-sized window of
-		// them arm the alarm.
-		drift := reg.NewDrift(t.Name(), format.Matches, sepe.DriftConfig{SampleEvery: 1, MinSamples: 8})
+		// Instrument hands the monitor one key per 256 calls, which
+		// it checks; let a demo-sized window of them arm the alarm.
+		drift := reg.NewDrift(t.Name(), format.Matches, sepe.DriftConfig{MinSamples: 8})
 		am := reg.NewAdaptive(t.Name())
 		am.SetState(0, "Specialized", sepe.HealthReady)
 		df := &demoFormat{

@@ -48,7 +48,6 @@ func main() {
 	// HTTP handler serves.
 	hm := sepe.Metrics().NewHash("ssn-pext")
 	drift := format.DriftMonitor("ssn", sepe.DriftConfig{
-		SampleEvery: 1,
 		OnDegrade: func(s sepe.DriftSnapshot) {
 			fmt.Printf("drift: %.0f%% of sampled keys off-format — "+
 				"a specialized hash degenerates on such keys (RQ7); "+

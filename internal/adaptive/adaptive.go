@@ -11,7 +11,8 @@
 //	                                        └──(circuit breaker)──▶ Pinned
 //
 // While Specialized, every hash call goes through the synthesized
-// function; a sampled subset of keys feeds a telemetry.DriftMonitor.
+// function, and one call in SampleEvery, counted, feeds its key to a
+// telemetry.DriftMonitor.
 // When the monitor degrades, the wrapper atomically swaps the active
 // function to a general-purpose fallback (one pointer store; readers
 // never block) and starts one background goroutine that re-infers the
@@ -21,9 +22,11 @@
 // each attempt with a context timeout, and after MaxAttempts failures
 // trips a circuit breaker that pins the fallback permanently.
 //
-// The read path is one atomic pointer load plus a mask test on the
-// hash value, so the wrapper adds low single-digit nanoseconds to a
-// synthesized function.
+// The read path is one atomic pointer load plus one atomic add on a
+// call counter (one add per batch for HashBatch). Counting calls rather
+// than testing hash bits keeps the sampling rate exact for every
+// family, including Pext, Naive and OffXor, which do not mix and so
+// can map a whole drifted stream onto values no bit test selects.
 package adaptive
 
 import (
@@ -146,14 +149,13 @@ func NewSynthesizer(fam core.Family, opts core.Options) Synthesizer {
 // Config tunes a self-healing Hash. The zero value of every field
 // selects the default noted on it.
 type Config struct {
-	// SampleEvery samples roughly one in n hash calls for drift
-	// observation, by testing hash bits (rounded down to a power of
-	// two; default 256). The observation costs a mutex plus a format
-	// match, so it dominates the wrapper's overhead. Lower values
-	// detect drift sooner and cost more per call; 1 observes every
-	// call. For comparison, the telemetry instrumentation checks one
-	// call in 2048: it hands its monitor one key per 256 calls, and a
-	// default monitor checks one batch of those in 8.
+	// SampleEvery hands one in n hash calls to the drift monitor,
+	// counted across HashGen, Hash and HashBatch (rounded down to a
+	// power of two; default 256). The observation costs a mutex plus a
+	// format match, so it dominates the wrapper's overhead. Lower
+	// values detect drift sooner and cost more per call; 1 observes
+	// every call. The telemetry instrumentation checks the same one
+	// call in 256.
 	SampleEvery int
 	// ReservoirSize bounds the ring of recently observed keys the
 	// re-synthesis feeds on (default 512).
@@ -179,9 +181,8 @@ type Config struct {
 	// the fresh keys exceed ratio × the fallback's (default 2.0).
 	MaxCollisionRatio float64
 	// Drift tunes the drift monitor's window, threshold and minimum
-	// sample count. Its SampleEvery is ignored (the wrapper itself
-	// samples; the monitor checks every key it is handed) and its
-	// OnDegrade is chained after the wrapper's own handler.
+	// sample count; the monitor checks every key the wrapper hands it.
+	// Its OnDegrade is chained after the wrapper's own handler.
 	Drift telemetry.DriftConfig
 	// Fallback is the general-purpose function degradation swaps to
 	// (default hashes.STL).
@@ -253,7 +254,10 @@ type variant struct {
 type Hash struct {
 	name string
 	cfg  Config
-	mask uint64 // hash-bit sampling mask (SampleEvery-1, power of two)
+	mask uint64 // drift sampling mask (SampleEvery-1, power of two)
+	// seen counts hash calls; a call whose count hits mask feeds its
+	// key to Observe.
+	seen atomic.Uint64
 
 	cur   atomic.Pointer[variant]
 	state atomic.Int32
@@ -312,7 +316,6 @@ func New(name string, fn Function, cfg Config) (*Hash, error) {
 	// promoted, through the active variant: after a recovery it
 	// automatically judges the stream against the re-inferred format.
 	dcfg := cfg.Drift
-	dcfg.SampleEvery = 1 // the wrapper pre-samples
 	userOnDegrade := dcfg.OnDegrade
 	dcfg.OnDegrade = func(s telemetry.DriftSnapshot) {
 		h.degrade()
@@ -329,7 +332,7 @@ func New(name string, fn Function, cfg Config) (*Hash, error) {
 // Hash applies the currently active function: the specialized one
 // while healthy, the fallback after degradation, the re-synthesized
 // one after recovery. The extra read-path work is one atomic pointer
-// load and a mask test; roughly one in SampleEvery calls additionally
+// load and one atomic add; every SampleEvery-th call additionally
 // feeds the drift monitor and key reservoir.
 func (h *Hash) Hash(key string) uint64 {
 	hv, _ := h.HashGen(key)
@@ -343,37 +346,31 @@ func (h *Hash) Hash(key string) uint64 {
 func (h *Hash) HashGen(key string) (uint64, uint64) {
 	v := h.cur.Load()
 	hv := v.fn(key)
-	if h.sampled(hv, key) {
+	if h.seen.Add(1)&h.mask == 0 {
 		h.Observe(key)
 	}
 	return hv, v.gen
 }
 
-// sampled is the read path's sample test: whether the call that
-// hashed key to hv also feeds key to Observe. Folding the high hash
-// bits and the length into it keeps observation alive when a drifted
-// function collapses to values that are constant in the low bits —
-// one add and one shift, off the return's critical path.
-func (h *Hash) sampled(hv uint64, key string) bool {
-	return (hv+hv>>32+uint64(len(key)))&h.mask == 0
-}
-
 // HashBatch hashes keys[i] into out[i] with the active function
 // pinned once for the whole batch — one atomic pointer load instead
-// of one per key — and returns that function's generation. Drift
-// sampling is applied per key exactly as in Hash, so a batch caller
-// keeps the same observation rate as a loop of single calls. A swap
+// of one per key — and returns that function's generation. The batch
+// advances the call counter once by len(keys) and observes the keys
+// whose counts hit the sampling mask, so a batch caller observes
+// exactly the keys a loop of single calls would. A swap
 // that lands mid-batch takes effect on the next batch; within one
 // batch the function, and so the returned generation, is consistent.
 func (h *Hash) HashBatch(keys []string, out []uint64) uint64 {
 	v := h.cur.Load()
 	out = out[:len(keys)]
 	for i, k := range keys {
-		hv := v.fn(k)
-		out[i] = hv
-		if h.sampled(hv, k) {
-			h.Observe(k)
-		}
+		out[i] = v.fn(k)
+	}
+	// keys[i] is call number before+1+i; the first one divisible by
+	// SampleEvery sits at i = -(before+1) mod SampleEvery.
+	before := h.seen.Add(uint64(len(keys))) - uint64(len(keys))
+	for i := ^before & h.mask; i < uint64(len(keys)); i += h.mask + 1 {
+		h.Observe(keys[i])
 	}
 	return v.gen
 }
@@ -382,12 +379,12 @@ func (h *Hash) HashBatch(keys []string, out []uint64) uint64 {
 func (h *Hash) Func() hashes.Func { return h.Hash }
 
 // Observe feeds one key to the drift monitor and, while a heal is in
-// flight, the re-synthesis reservoir; it bypasses the read-path
-// sampling. The adaptive containers call it on a deterministic
-// schedule, covering streams whose hash values defeat hash-bit
-// sampling. The reservoir is skipped in healthy states because
-// degrade() clears it before the heal goroutine ever reads it —
-// collecting keys there would only pay an extra lock per sample.
+// flight, the re-synthesis reservoir; it bypasses the call counter.
+// The adaptive containers, which hash with the pinned Current function
+// rather than through Hash, call it on their own count. The reservoir
+// is skipped in healthy states because degrade() clears it before the
+// heal goroutine ever reads it — collecting keys there would only pay
+// an extra lock per sample.
 func (h *Hash) Observe(key string) {
 	h.monitor.Observe(key)
 	switch State(h.state.Load()) {

@@ -405,6 +405,92 @@ func TestAdaptiveConcurrentHashDuringDrift(t *testing.T) {
 	})
 }
 
+// TestAdaptiveSamplesByCount drives a Function whose constant hash
+// value no hash-bit test would ever select, through HashGen and then
+// through HashBatch in batches of uneven sizes, then from several
+// goroutines at once. Sampling counts calls, so the monitor must be
+// handed exactly the keys of calls SampleEvery, 2×SampleEvery, … on
+// both paths, and exactly one key per SampleEvery concurrent calls.
+func TestAdaptiveSamplesByCount(t *testing.T) {
+	const every, n = 256, 16 * 256
+	var mu sync.Mutex
+	var checked []string
+	flat := &fake{
+		hash: func(string) uint64 { return 1 },
+		matches: func(k string) bool {
+			mu.Lock()
+			checked = append(checked, k)
+			mu.Unlock()
+			return isOld(k)
+		},
+	}
+	cfg := fastCfg(func(context.Context, []string) (Function, error) {
+		return nil, errors.New("unexpected")
+	})
+	cfg.SampleEvery = every
+	h, err := New("t", flat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	want := func(from int) []string {
+		var keys []string
+		for i := from + every - 1; i < from+n; i += every {
+			keys = append(keys, oldKey(i))
+		}
+		return keys
+	}
+
+	for i := 0; i < n; i++ {
+		h.HashGen(oldKey(i))
+	}
+	if got := h.Monitor().Snapshot().Observed; got != n/every {
+		t.Fatalf("HashGen: monitor observed %d keys, want %d", got, n/every)
+	}
+	if got, w := strings.Join(checked, ","), strings.Join(want(0), ","); got != w {
+		t.Fatalf("HashGen: monitor checked %s, want %s", got, w)
+	}
+
+	checked = nil
+	out := make([]uint64, 3*every)
+	for i, size := n, 0; i < 2*n; i += size {
+		size = min(1+i%(3*every), 2*n-i)
+		keys := make([]string, size)
+		for j := range keys {
+			keys[j] = oldKey(i + j)
+		}
+		h.HashBatch(keys, out)
+	}
+	if got := h.Monitor().Snapshot().Observed; got != 2*n/every {
+		t.Fatalf("HashBatch: monitor observed %d keys, want %d", got-n/every, n/every)
+	}
+	if got, w := strings.Join(checked, ","), strings.Join(want(n), ","); got != w {
+		t.Fatalf("HashBatch: monitor checked %s, want %s", got, w)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			keys := make([]string, 100)
+			for j := range keys {
+				keys[j] = oldKey(g*len(keys) + j)
+			}
+			out := make([]uint64, len(keys))
+			for i := 0; i < n/len(keys); i++ {
+				h.HashBatch(keys, out)
+				h.HashGen(keys[i%len(keys)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	calls := 2*n + 4*(n/100)*101
+	if got := h.Monitor().Snapshot().Observed; got != uint64(calls/every) {
+		t.Fatalf("concurrent: monitor observed %d keys after %d calls, want %d", got, calls, calls/every)
+	}
+}
+
 func TestNewRejectsNilArguments(t *testing.T) {
 	ok := func(context.Context, []string) (Function, error) {
 		return &fake{hashes.FNV, isNew}, nil

@@ -13,26 +13,24 @@ import (
 // near-zero mixing (the failure mode behind the paper's RQ7), so a
 // deployment that keeps feeding a drifted stream into a Pext function
 // silently converts its O(1) table into a collision list. The monitor
-// samples a fraction of keys, checks each sample against the format's
-// membership predicate, tracks the mismatch rate over a sliding
-// window, and raises Degraded once the rate crosses a threshold —
-// at which point the safe move is falling back to a general-purpose
+// checks every key it is handed against the format's membership
+// predicate (its callers choose how many keys to hand it), tracks the
+// mismatch rate over a sliding window, and raises Degraded once the
+// rate crosses a threshold — at which point the safe move is falling back to a general-purpose
 // function (STLHash) until the format is re-inferred.
 type DriftMonitor struct {
 	name    string
 	matches func(string) bool
 	cfg     DriftConfig
-	mask    uint64
 
 	observed   atomic.Uint64
-	batches    atomic.Uint64
 	sampled    atomic.Uint64
 	mismatched atomic.Uint64
 	degraded   atomic.Bool
 	fired      atomic.Bool
 
 	mu      sync.Mutex
-	ring    []bool // ring[i]: sampled key i (mod window) mismatched
+	ring    []bool // ring[i]: checked key i (mod window) mismatched
 	ringPos int
 	ringLen int
 	ringMis int
@@ -45,8 +43,10 @@ type DriftMonitor struct {
 // DriftConfig tunes a DriftMonitor. The zero value selects the
 // defaults noted per field.
 type DriftConfig struct {
-	// SampleEvery checks every n-th observed key (rounded down to a
-	// power of two; default 8). 1 checks every key.
+	// SampleEvery is ignored: the monitor checks every key handed to
+	// Observe, and its callers choose how often to hand one over.
+	//
+	// Deprecated: leave it unset.
 	SampleEvery int
 	// Window is the number of recent samples the mismatch rate is
 	// computed over (default 256).
@@ -66,9 +66,6 @@ type DriftConfig struct {
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 8
-	}
 	if c.Window <= 0 {
 		c.Window = 256
 	}
@@ -88,17 +85,10 @@ func (c DriftConfig) withDefaults() DriftConfig {
 // membership predicate matches.
 func NewDriftMonitor(name string, matches func(string) bool, cfg DriftConfig) *DriftMonitor {
 	cfg = cfg.withDefaults()
-	// Round the sampling interval down to a power of two so the hot
-	// path's "is this key sampled" test is a mask, not a division.
-	mask := uint64(1)
-	for mask*2 <= uint64(cfg.SampleEvery) {
-		mask *= 2
-	}
 	return &DriftMonitor{
 		name:    name,
 		matches: matches,
 		cfg:     cfg,
-		mask:    mask - 1,
 		ring:    make([]bool, cfg.Window),
 	}
 }
@@ -106,35 +96,20 @@ func NewDriftMonitor(name string, matches func(string) bool, cfg DriftConfig) *D
 // Name returns the monitor's name.
 func (d *DriftMonitor) Name() string { return d.name }
 
-// Observe counts one key and, on sampled keys, checks it against the
-// format. The unsampled path is one atomic increment.
+// Observe checks key against the format and updates the sliding
+// window. It takes the window mutex, so hot paths hand over a sample
+// of their keys rather than every one.
 func (d *DriftMonitor) Observe(key string) {
 	if d == nil {
 		return
 	}
-	if d.observed.Add(1)&d.mask != 0 {
-		return
-	}
-	d.check(key)
+	d.observe(key, 1)
 }
 
-// observeBatch records n observed keys at once and checks key on
-// every SampleEvery-th batch; it serves the instrumented hash
-// wrapper, whose counter batching already thins the stream to one
-// candidate key per flush. Applying the monitor's own sampling mask
-// on top keeps the format-membership check (the expensive part of a
-// drift sample) off the amortized hot path: with the defaults the
-// predicate runs once per SampleEvery*flushEvery hashed keys.
-func (d *DriftMonitor) observeBatch(key string, n uint64) {
+// observe checks key as the representative of n observed keys: the
+// instrumented hash wrapper hands over one key per flush of n calls.
+func (d *DriftMonitor) observe(key string, n uint64) {
 	d.observed.Add(n)
-	if d.batches.Add(1)&d.mask != 0 {
-		return
-	}
-	d.check(key)
-}
-
-// check classifies one sampled key and updates the sliding window.
-func (d *DriftMonitor) check(key string) {
 	miss := !d.matches(key)
 	d.sampled.Add(1)
 	if miss {
@@ -204,17 +179,11 @@ func (d *DriftMonitor) Reset() {
 	// flag computed against the pre-Reset window.
 	d.degraded.Store(false)
 	d.fired.Store(false)
-	// Re-phase the batch sampler too: observeBatch keeps its own
-	// counter, and wherever the old phase happened to sit, the first
-	// post-Reset window would sample late — up to SampleEvery-1 batches
-	// of the fresh stream unobserved. Parking the counter at the mask
-	// makes the very next batch a sample.
-	d.batches.Store(d.mask)
 	d.mu.Unlock()
 }
 
 // MismatchRate returns the mismatch rate over the current window
-// (0 when nothing has been sampled yet).
+// (0 when nothing has been checked yet).
 func (d *DriftMonitor) MismatchRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -26,7 +26,7 @@ func ssnKey(i int) string {
 }
 
 func TestDriftConformingStreamStaysHealthy(t *testing.T) {
-	d := NewDriftMonitor("ssn", ssnLike, DriftConfig{SampleEvery: 1})
+	d := NewDriftMonitor("ssn", ssnLike, DriftConfig{})
 	for i := 0; i < 10000; i++ {
 		d.Observe(ssnKey(i))
 	}
@@ -46,7 +46,6 @@ func TestDriftTwentyPercentOffFormatDegrades(t *testing.T) {
 	fired := 0
 	var firedSnap DriftSnapshot
 	d := NewDriftMonitor("ssn", ssnLike, DriftConfig{
-		SampleEvery: 1,
 		OnDegrade: func(s DriftSnapshot) {
 			fired++
 			firedSnap = s
@@ -77,7 +76,7 @@ func TestDriftTwentyPercentOffFormatDegrades(t *testing.T) {
 func TestDriftRecoversButCallbackStaysOneShot(t *testing.T) {
 	fired := 0
 	d := NewDriftMonitor("ssn", ssnLike, DriftConfig{
-		SampleEvery: 1, Window: 64, MinSamples: 16,
+		Window: 64, MinSamples: 16,
 		OnDegrade: func(DriftSnapshot) { fired++ },
 	})
 	for i := 0; i < 100; i++ {
@@ -105,23 +104,9 @@ func TestDriftRecoversButCallbackStaysOneShot(t *testing.T) {
 	}
 }
 
-func TestDriftSampling(t *testing.T) {
-	d := NewDriftMonitor("s", func(string) bool { return true }, DriftConfig{SampleEvery: 8})
-	for i := 0; i < 1024; i++ {
-		d.Observe("k")
-	}
-	s := d.Snapshot()
-	if s.Observed != 1024 {
-		t.Fatalf("Observed = %d, want 1024", s.Observed)
-	}
-	if s.Sampled != 1024/8 {
-		t.Fatalf("Sampled = %d, want %d", s.Sampled, 1024/8)
-	}
-}
-
 func TestDriftMinSamplesGate(t *testing.T) {
 	d := NewDriftMonitor("s", func(string) bool { return false },
-		DriftConfig{SampleEvery: 1, Window: 256, MinSamples: 64})
+		DriftConfig{Window: 256, MinSamples: 64})
 	for i := 0; i < 32; i++ {
 		d.Observe("bad")
 	}
@@ -138,7 +123,7 @@ func TestDriftNilObserve(t *testing.T) {
 func TestDriftResetClearsWindowAndRearmsCallback(t *testing.T) {
 	fired := 0
 	d := NewDriftMonitor("ssn", ssnLike, DriftConfig{
-		SampleEvery: 1, Window: 64, MinSamples: 16,
+		Window: 64, MinSamples: 16,
 		OnDegrade: func(DriftSnapshot) { fired++ },
 	})
 	for i := 0; i < 100; i++ {
@@ -178,30 +163,5 @@ func TestDriftResetClearsWindowAndRearmsCallback(t *testing.T) {
 	}
 	if fired != 2 {
 		t.Fatalf("OnDegrade fired %d times, want 2 (re-armed by Reset)", fired)
-	}
-}
-
-// TestDriftResetRephasesBatchSampler is the regression test for the
-// PR 6 batch-mask bug: Reset cleared the window but left the batch
-// counter wherever its phase happened to sit, so the first post-Reset
-// window could go up to SampleEvery-1 batches without a single sample.
-// Reset must park the counter so the very next batch is sampled.
-func TestDriftResetRephasesBatchSampler(t *testing.T) {
-	d := NewDriftMonitor("t", ssnLike, DriftConfig{
-		Window: 16, MinSamples: 4, Threshold: 0.5, SampleEvery: 8,
-	})
-	// Leave the batch counter mid-phase: four skipped batches, four
-	// short of the next sampling point (every 8th batch samples).
-	for i := 0; i < 4; i++ {
-		d.observeBatch("078-05-1120", 1)
-	}
-	before := d.Snapshot().Sampled
-	if before != 0 {
-		t.Fatalf("setup: sampled = %d, want 0 (mid-phase, counter at 4 of 8)", before)
-	}
-	d.Reset()
-	d.observeBatch("078-05-1120", 1)
-	if got := d.Snapshot().Sampled; got != 1 {
-		t.Fatalf("first batch after Reset not sampled: sampled = %d, want 1", got)
 	}
 }

@@ -20,7 +20,7 @@ func TestHealthAggregation(t *testing.T) {
 	a := r.NewAdaptive("ssn")
 	a.SetState(0, "Specialized", HealthReady)
 	d := r.NewDrift("mac", func(k string) bool { return len(k) == 17 },
-		DriftConfig{SampleEvery: 1, Window: 8, MinSamples: 4})
+		DriftConfig{Window: 8, MinSamples: 4})
 
 	rep := r.Health()
 	if !rep.Ready || !rep.Live || rep.Status != "ok" {
@@ -74,7 +74,7 @@ func TestHealthDriftOwnedByAdaptive(t *testing.T) {
 	a := r.NewAdaptive("ssn")
 	a.SetState(1, "Degraded", HealthNotReady)
 	d := r.NewDrift("ssn", func(string) bool { return false },
-		DriftConfig{SampleEvery: 1, Window: 8, MinSamples: 4})
+		DriftConfig{Window: 8, MinSamples: 4})
 	for i := 0; i < 8; i++ {
 		d.Observe("x")
 	}

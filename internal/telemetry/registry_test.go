@@ -18,7 +18,7 @@ func testRegistry() *Registry {
 	c.Put("a", 0)
 	c.Put("b", 1)
 	c.CollisionDelta(1)
-	d := r.NewDrift("ssn", func(k string) bool { return len(k) == 11 }, DriftConfig{SampleEvery: 1})
+	d := r.NewDrift("ssn", func(k string) bool { return len(k) == 11 }, DriftConfig{})
 	d.Observe("078-05-1120")
 	r.Gauge("sepe_demo_gauge", func() float64 { return 2.5 })
 	return r

@@ -416,8 +416,9 @@ func (m *HashMetrics) SetCounterexamples(keys ...string) {
 }
 
 // Instrument wraps fn so that calls and sampled latencies feed m, and
-// every sampled key is checked by d for format drift. Either m or d
-// may be nil; with both nil fn is returned unchanged.
+// d checks one key per flush of flushEvery calls for format drift
+// (every key when m is nil). Either m or d may be nil; with both nil
+// fn is returned unchanged.
 //
 // The returned wrapper batches its counter updates locally (flushing
 // every flushEvery = 256 calls), so each wrapper value must stay confined to one
@@ -443,7 +444,7 @@ func Instrument(fn func(string) uint64, m *HashMetrics, d *DriftMonitor) func(st
 		}
 		m.calls.Add(flushEvery)
 		if d != nil {
-			d.observeBatch(key, flushEvery)
+			d.observe(key, flushEvery)
 		}
 		if (local/flushEvery)%timedEvery != 0 {
 			return fn(key)

@@ -69,8 +69,9 @@ func TestHistogramExtremeValue(t *testing.T) {
 
 func TestInstrumentCountsAndTimes(t *testing.T) {
 	m := NewHashMetrics("test")
+	d := NewDriftMonitor("test", func(string) bool { return true }, DriftConfig{})
 	base := func(key string) uint64 { return uint64(len(key)) }
-	fn := Instrument(base, m, nil)
+	fn := Instrument(base, m, d)
 	// The count moves in whole batches: it trails by flushEvery-1
 	// calls at most, and the flushEvery-th call publishes the batch.
 	for i := 1; i <= flushEvery; i++ {
@@ -95,6 +96,11 @@ func TestInstrumentCountsAndTimes(t *testing.T) {
 	if snap.Sampled != n/(flushEvery*timedEvery) {
 		t.Fatalf("Sampled = %d, want %d", snap.Sampled, n/(flushEvery*timedEvery))
 	}
+	// Each flush hands the drift monitor one key standing for the
+	// flushEvery calls it publishes, and the monitor checks it.
+	if ds := d.Snapshot(); ds.Observed != n || ds.Sampled != n/flushEvery {
+		t.Fatalf("drift Observed = %d, Sampled = %d; want %d, %d", ds.Observed, ds.Sampled, n, n/flushEvery)
+	}
 }
 
 func TestInstrumentNil(t *testing.T) {
@@ -106,7 +112,7 @@ func TestInstrumentNil(t *testing.T) {
 
 func TestInstrumentDriftOnly(t *testing.T) {
 	d := NewDriftMonitor("d", func(k string) bool { return k == "ok" },
-		DriftConfig{SampleEvery: 1, Window: 8, MinSamples: 4})
+		DriftConfig{Window: 8, MinSamples: 4})
 	fn := Instrument(func(string) uint64 { return 0 }, nil, d)
 	for i := 0; i < 16; i++ {
 		fn("bad")
@@ -241,7 +247,7 @@ func TestConcurrentWriters(t *testing.T) {
 	cm := NewContainerMetrics("stress")
 	var sawDegrade atomic.Bool
 	d := NewDriftMonitor("stress", func(k string) bool { return len(k) == 3 },
-		DriftConfig{SampleEvery: 1, Window: 64, MinSamples: 8, Threshold: 0.5,
+		DriftConfig{Window: 64, MinSamples: 8, Threshold: 0.5,
 			OnDegrade: func(DriftSnapshot) { sawDegrade.Store(true) }})
 	reg := NewRegistry()
 	reg.mu.Lock()

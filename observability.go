@@ -98,10 +98,10 @@ func FlightRecorderOf() *FlightRecorder { return telemetry.Default.Recorder() }
 func RegisterRuntimeMetrics() { telemetry.RegisterRuntimeMetrics(telemetry.Default) }
 
 // Instrument wraps hash so every call is counted and a sampled subset
-// is timed into m, and (when d is non-nil) observed keys are checked
-// for format drift. Either observer may be nil; with both nil the
-// hash is returned unchanged, so a disabled-telemetry build pays
-// nothing.
+// is timed into m, and (when d is non-nil) d checks one key per 256
+// calls for format drift, or every key when m is nil. Either observer
+// may be nil; with both nil the hash is returned unchanged, so a
+// disabled-telemetry build pays nothing.
 //
 // The wrapper batches its counter updates locally and flushes them to
 // m's atomics every 256 calls, keeping the per-call overhead a small
@@ -116,13 +116,14 @@ func Instrument(hash HashFunc, m *HashMetrics, d *DriftMonitor) HashFunc {
 // DriftMonitor returns a monitor watching observed keys for drift out
 // of the format — the runtime safeguard for the paper's RQ7 failure
 // mode. A specialized hash applied to off-format keys degenerates to
-// near-zero mixing, so the monitor samples keys, checks them against
-// Format.Matches, and raises Degraded (and the one-shot
+// near-zero mixing, so the monitor checks every key handed to Observe
+// against Format.Matches, and raises Degraded (and the one-shot
 // cfg.OnDegrade callback) when the windowed mismatch rate crosses the
 // threshold; the recommended response is swapping the container's
 // hash for a general-purpose fallback such as STLHash. The zero
-// DriftConfig selects sane defaults (sample 1/8, window 256,
-// threshold 10%).
+// DriftConfig selects sane defaults (window 256, threshold 10%).
+// Observe takes a mutex, so hand it a sample of a hot stream;
+// Instrument hands it one key per 256 calls.
 //
 // The monitor is registered in the default registry, so MetricsHandler
 // exposes its sepe_drift_* series; use MetricsRegistry.NewDrift with

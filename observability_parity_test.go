@@ -35,7 +35,7 @@ func TestPrometheusJSONParity(t *testing.T) {
 	c.Rehash(2)
 	c.MigrateStart(13, 29)
 
-	d := r.NewDrift("ssn", func(k string) bool { return len(k) == 11 }, sepe.DriftConfig{SampleEvery: 1})
+	d := r.NewDrift("ssn", func(k string) bool { return len(k) == 11 }, sepe.DriftConfig{})
 	d.Observe("078-05-1120")
 	d.Observe("bad")
 

@@ -263,8 +263,7 @@ func TestFormatDriftMonitorEndToEnd(t *testing.T) {
 	f := ssnFormat(t)
 	degraded := 0
 	d := f.DriftMonitor("ssn", sepe.DriftConfig{
-		SampleEvery: 1,
-		OnDegrade:   func(sepe.DriftSnapshot) { degraded++ },
+		OnDegrade: func(sepe.DriftSnapshot) { degraded++ },
 	})
 	// A conforming stream keeps the monitor healthy. Samples are drawn
 	// from the quad-widened format, which Matches accepts by
