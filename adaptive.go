@@ -144,8 +144,9 @@ func (h *AdaptiveHash) HashBatch(keys []string, out []uint64) { h.a.HashBatch(ke
 // promotion), the container starts an incremental migration and every
 // subsequent operation drains a few retired buckets, so the swap never
 // causes a stop-the-world rehash. A sharded container migrates each
-// shard with its own dual-region drain, stepped round-robin, so other
-// shards' readers never wait on a draining shard; routing keeps the
+// shard with its own dual-region drain, and each step drains the next
+// shard still migrating, so other shards' readers never wait on a
+// draining shard and no step lands on a finished one; routing keeps the
 // construction-time hash, which needs only determinism and spread.
 // The containers hash with the pinned function rather than through
 // AdaptiveHash.Hash, so they bypass its call counter and feed every

@@ -93,6 +93,18 @@ type entry[V any] struct {
 // a container can swap hash functions under load without a
 // stop-the-world rehash and without moving an entry.
 //
+// A drain step first rehashes a run of slots in slot order, ahead of
+// the relink: a cursor, hashPos, runs over the slots the table held
+// when the migration began, storing each entry's hash under the new
+// function. Relinking then walks old buckets as before but reuses the
+// hash already in place below the cursor, so most entries are hashed
+// in a sequential sweep over the entry array and the key bytes instead
+// of a bucket-order random walk. A retired entry therefore holds its
+// new hash below the cursor and its old one at or above it; the walks
+// over `old` compare against the hash the slot holds, and the
+// live-region loops are untouched (every live entry holds its new
+// hash, which the sweep rewrites unchanged).
+//
 // A Table is not safe for concurrent use; internal/shard stripes many
 // of them behind locks.
 type Table[V any] struct {
@@ -106,9 +118,16 @@ type Table[V any] struct {
 	obs   Observer
 
 	// Migration state: nil/empty when no migration is in progress.
+	// Slots below hashPos hold their hash under the new function;
+	// hashEnd is the slot count when the migration began, so every
+	// retired entry lies below it. Both are slot indices, int32 like
+	// links and free, which also keeps a Table[int] within the
+	// 176-byte allocation size class.
 	oldHash  hashes.Func
 	old      []int32
 	drainPos int
+	hashPos  int32
+	hashEnd  int32
 
 	// swapped is set by the first migration: from then on hash is no
 	// longer the function the table was created with, so the hashed
@@ -191,12 +210,28 @@ func (t *Table[V]) find(head int32, h uint64, key string) (int32, int) {
 	return -1, n
 }
 
-// findOld continues a lookup of key in the retired region, adding the
-// entries it examines to probes. Only valid while migrating.
-func (t *Table[V]) findOld(key string, probes int) (int32, int) {
+// retiredHash returns the hash retired slot i holds for a key whose
+// new hash is h and old hash oh: the new one below the rehash cursor,
+// the old one at or above it. Only valid while migrating.
+func (t *Table[V]) retiredHash(i int32, h, oh uint64) uint64 {
+	if i < t.hashPos {
+		return h
+	}
+	return oh
+}
+
+// findOld continues a lookup of key, whose new hash is h, in the
+// retired region, adding the entries it examines to probes. Only valid
+// while migrating.
+func (t *Table[V]) findOld(h uint64, key string, probes int) (int32, int) {
 	head, oh := t.oldHead(key)
-	i, n := t.find(*head, oh, key)
-	return i, probes + n
+	for i := *head; i >= 0; i = t.links[i] {
+		probes++
+		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+			return i, probes
+		}
+	}
+	return -1, probes
 }
 
 // linkTail appends the unlinked slot i to the chain at *head and
@@ -227,7 +262,7 @@ func (t *Table[V]) put(h uint64, key string, val V) bool {
 			// The key may still live in the retired region; replacing
 			// it there (instead of appending a shadowing entry) keeps
 			// the table duplicate-free through the migration.
-			i, probes = t.findOld(key, probes)
+			i, probes = t.findOld(h, key, probes)
 		}
 		if i >= 0 {
 			t.ents[i].val = val
@@ -256,7 +291,7 @@ func (t *Table[V]) put(h uint64, key string, val V) bool {
 func (t *Table[V]) get(h uint64, key string) (V, bool) {
 	i, probes := t.find(t.heads[t.bucketOf(h)], h, key)
 	if i < 0 && t.old != nil {
-		i, probes = t.findOld(key, probes)
+		i, probes = t.findOld(h, key, probes)
 	}
 	if t.obs != nil {
 		t.obs.Get(key, probes)
@@ -284,13 +319,28 @@ func (t *Table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, 
 	return matches, probes
 }
 
+// gatherOld is gather over key's retired chain, for a key whose new
+// hash is h. Only valid while migrating.
+func (t *Table[V]) gatherOld(h uint64, key string, out *[]V) (matches, probes int) {
+	head, oh := t.oldHead(key)
+	for i := *head; i >= 0; i = t.links[i] {
+		probes++
+		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+			matches++
+			if out != nil {
+				*out = append(*out, e.val)
+			}
+		}
+	}
+	return matches, probes
+}
+
 // gatherAll is gather over key's chains in both regions, reported to
 // the observer as one lookup. It returns the matches.
 func (t *Table[V]) gatherAll(h uint64, key string, out *[]V) int {
 	matches, probes := t.gather(t.heads[t.bucketOf(h)], h, key, out)
 	if t.old != nil {
-		head, oh := t.oldHead(key)
-		m, p := t.gather(*head, oh, key, out)
+		m, p := t.gatherOld(h, key, out)
 		matches, probes = matches+m, probes+p
 	}
 	if t.obs != nil {
@@ -333,13 +383,36 @@ func (t *Table[V]) unlink(head *int32, h uint64, key string) (probes, removed, c
 	return probes, removed, max(probes-removed-1, 0) - max(probes-1, 0)
 }
 
+// unlinkOld is unlink over key's retired chain, for a key whose new
+// hash is h. Only valid while migrating.
+func (t *Table[V]) unlinkOld(h uint64, key string) (probes, removed, collDelta int) {
+	head, oh := t.oldHead(key)
+	prev := int32(-1)
+	for i := *head; i >= 0; {
+		next := t.links[i]
+		probes++
+		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+			if prev < 0 {
+				*head = next
+			} else {
+				t.links[prev] = next
+			}
+			t.release(i)
+			removed++
+		} else {
+			prev = i
+		}
+		i = next
+	}
+	return probes, removed, max(probes-removed-1, 0) - max(probes-1, 0)
+}
+
 // del removes all entries with the given key, returning how many were
 // removed (erase(key) semantics of the unordered containers).
 func (t *Table[V]) del(h uint64, key string) int {
 	probes, removed, collDelta := t.unlink(&t.heads[t.bucketOf(h)], h, key)
 	if t.old != nil {
-		head, oh := t.oldHead(key)
-		p, r, c := t.unlink(head, oh, key)
+		p, r, c := t.unlinkOld(h, key)
 		probes += p
 		removed += r
 		collDelta += c
@@ -396,6 +469,12 @@ func (t *Table[V]) reserve(n int) {
 // become the retired region; a fresh region sized for the table's
 // population is indexed by newHash. Entries move over incrementally
 // via drain, so no single operation pays an O(n) rehash.
+//
+// The one exception is a swap that arrives while a migration is still
+// in flight: that call finishes the old migration synchronously. It
+// pays for what is left of it, at most one rehash of each slot the
+// sweep has not reached and one relink of each retired bucket, which
+// in the worst case is the cost of a full stop-the-world rehash.
 func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	if t.old != nil {
 		// A migration is already in flight: finish it first so the
@@ -405,7 +484,7 @@ func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	t.oldHash = t.hash
 	t.old = t.heads
 	t.swapped = true
-	t.drainPos = 0
+	t.drainPos, t.hashPos, t.hashEnd = 0, 0, int32(len(t.ents))
 	t.hash = newHash
 	t.heads = emptyBuckets(make([]int32, nextPrime(max(2*t.size+1, initialBuckets))))
 	if t.obs != nil {
@@ -413,12 +492,25 @@ func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	}
 }
 
+// drainAhead is how many slots a drain step rehashes in slot order per
+// retired bucket it relinks. At load factor ≤ 1 there are no more
+// slots than retired buckets, so the sweep passes every slot within
+// the first quarter of the relink.
+const drainAhead = 4
+
 // drain relinks up to k retired buckets' entries into the live region,
-// returning true while the migration is still in progress. Each moved
-// entry's hash is recomputed under the new function.
+// returning true while the migration is still in progress. It first
+// rehashes up to drainAhead·k slots in slot order, free and live slots
+// included (a free slot's key is empty and alloc overwrites its hash;
+// a live entry's new hash is the one it holds). A relinked entry the
+// sweep has not reached yet is hashed on the spot.
 func (t *Table[V]) drain(k int) bool {
 	if t.old == nil {
 		return false
+	}
+	for end := int32(min(int(t.hashPos)+drainAhead*k, int(t.hashEnd))); t.hashPos < end; t.hashPos++ {
+		e := &t.ents[t.hashPos]
+		e.hash = t.hash(e.key)
 	}
 	for ; k > 0 && t.drainPos < len(t.old); k-- {
 		i := t.old[t.drainPos]
@@ -428,7 +520,9 @@ func (t *Table[V]) drain(k int) bool {
 			next := t.links[i]
 			t.links[i] = -1
 			e := &t.ents[i]
-			e.hash = t.hash(e.key)
+			if i >= t.hashPos {
+				e.hash = t.hash(e.key)
+			}
 			t.linkTail(&t.heads[t.bucketOf(e.hash)], i)
 			i = next
 		}
@@ -438,7 +532,8 @@ func (t *Table[V]) drain(k int) bool {
 	}
 	// Migration complete: drop the retired region and let observers
 	// recount, exactly as after a normal rehash.
-	t.old, t.oldHash, t.drainPos = nil, nil, 0
+	t.old, t.oldHash = nil, nil
+	t.drainPos, t.hashPos, t.hashEnd = 0, 0, 0
 	if t.obs != nil {
 		t.obs.MigrateDone(len(t.heads))
 		t.obs.Rehash(t.bucketCollisions())
@@ -464,7 +559,8 @@ func (t *Table[V]) clear() {
 	emptyBuckets(t.heads)
 	clear(t.ents) // so dropped keys and values pin no memory
 	t.ents, t.links, t.free = t.ents[:0], t.links[:0], -1
-	t.old, t.oldHash, t.drainPos = nil, nil, 0
+	t.old, t.oldHash = nil, nil
+	t.drainPos, t.hashPos, t.hashEnd = 0, 0, 0
 	t.size = 0
 	if t.obs != nil {
 		t.obs.Clear()

@@ -165,6 +165,11 @@ func FuzzTableOps(f *testing.F) {
 			f.Add(tape)
 		}
 	}
+	// Tables many times one step's precompute, held mid-migration; the
+	// bytes index tapeHashes, and 0x80 shifts every hash right by 8.
+	for _, hs := range [][3]byte{{1, 2, 0}, {2, 1, 3}, {0, 1, 2}, {0x81, 0, 1}} {
+		f.Add(mixedCursorTape(hs[0], hs[1], hs[2]))
+	}
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		intVal := func(i int) int { return i }
 		noVal := func(int) struct{} { return struct{}{} }
@@ -173,4 +178,48 @@ func FuzzTableOps(f *testing.F) {
 		runTape(t, "MultiMap", tape, true, intVal)
 		runTape(t, "MultiSet", tape, true, noVal)
 	})
+}
+
+// mixedCursorTape is an op tape that fills a table with every tape key
+// (twice, so multi tables hold two copies), migrates it to hash index
+// to one bucket a step, with lookups, erasures and re-inserts between
+// steps, swaps to hash index then before the first migration ends,
+// and clears the table mid-migration. Its tables outgrow one
+// MigrateStep's precompute many times over, so the ops hit entries on
+// both sides of the rehash cursor.
+func mixedCursorTape(from, to, then byte) []byte {
+	tape := []byte{from}
+	op := func(code byte, arg int) { tape = append(tape, code, byte(arg)) }
+	for range 2 {
+		for i := range tapeKeys {
+			op(0, i)
+		}
+	}
+	op(14, int(to))
+	for i := range 24 {
+		op(15, 0) // MigrateStep 1
+		op(6, i)
+		op(10, i+40)
+		op(11, i+70)
+		op(8, i+3)
+		op(0, i+3) // reuses the slot just freed
+	}
+	op(14, int(then))
+	for i := range 12 {
+		op(15, 1) // MigrateStep 2
+		op(6, 95-i)
+		op(8, 50+i)
+		op(0, 50+i)
+		op(11, i)
+	}
+	op(13, 0) // Clear
+	for i := range 40 {
+		op(0, i)
+	}
+	op(14, int(to))
+	for i := range 8 {
+		op(15, 0)
+		op(6, i)
+	}
+	return tape
 }

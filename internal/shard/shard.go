@@ -31,15 +31,17 @@
 // and take each shard's lock once per batch instead of once per key.
 //
 // Lock ordering: no operation holds more than one shard lock at a
-// time. Whole-container operations (Len, Stats, Clear, migration,
+// time. Whole-container operations (Len, Stats, Clear, BeginMigration,
 // batches) visit shards in ascending index, releasing each lock
 // before taking the next, so they compose without deadlock — at the
-// cost of not being atomic snapshots across shards.
+// cost of not being atomic snapshots across shards. A migration step
+// locks only the one shard it drains.
 package shard
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/hashes"
@@ -81,13 +83,16 @@ func shardCount(n int) int {
 	return nextPow2(n)
 }
 
-// shardLock is one stripe's RWMutex, padded to a cache line so
-// adjacent stripes' lock words do not false-share.
+// shardLock is one stripe's RWMutex and migrating flag, padded to a
+// cache line so adjacent stripes' lock words do not false-share. The
+// flag is written only under the lock and read atomically, so a
+// migration step can skip finished stripes without locking them.
 //
 //sepe:lockrank 50
 type shardLock struct {
 	sync.RWMutex
-	_ [40]byte
+	migrating atomic.Bool
+	_         [36]byte
 }
 
 func log2(n int) int {

@@ -437,3 +437,144 @@ func TestShardedMigration(t *testing.T) {
 		t.Fatalf("post-swap Put/Get = (%d,%v)", v, ok)
 	}
 }
+
+// oneShard routes every key to shard 0: its top byte is always zero.
+func oneShard(k string) uint64 { return hashes.STL(k) >> 8 }
+
+// TestMigrationStepsOnlyMigratingShards puts every key in one shard:
+// stepping must skip the shards that have finished, so the migration
+// ends within ⌈retired buckets / k⌉ steps of the hot shard plus one
+// per other shard.
+func TestMigrationStepsOnlyMigratingShards(t *testing.T) {
+	const shards, n, k = 8, 4000, 16
+	m := NewTable[int](oneShard, false, shards)
+	for i := 0; i < n; i++ {
+		m.Put(fmt.Sprintf("key-%05d", i), i)
+	}
+	st := m.ShardStats()
+	if st[0].Size != n {
+		t.Fatalf("shard 0 holds %d of %d keys; the router did not concentrate them", st[0].Size, n)
+	}
+	retired := st[0].Buckets
+	m.BeginMigration(hashes.FNV)
+	if got := m.active.Load(); got != shards {
+		t.Fatalf("migrating count %d after BeginMigration, want %d", got, shards)
+	}
+	calls := 1
+	for m.MigrateStep(k) {
+		calls++
+	}
+	if bound := (retired+k-1)/k + shards; calls > bound {
+		t.Fatalf("migration took %d MigrateStep calls, want at most %d (%d retired buckets, k=%d, %d shards)", calls, bound, retired, k, shards)
+	}
+	if m.Migrating() {
+		t.Fatal("Migrating() = true right after MigrateStep returned false")
+	}
+	for i := range m.tabs {
+		if m.tabs[i].Migrating() || m.locks[i].migrating.Load() {
+			t.Fatalf("shard %d still migrating after the last step", i)
+		}
+	}
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key-%05d", i)
+		if v, ok := m.Get(key); !ok || v != i {
+			t.Fatalf("post-migration Get(%q) = (%d,%v)", key, v, ok)
+		}
+	}
+}
+
+// TestClearDuringMigrationResetsCount checks that Clear ends every
+// shard's migration and zeroes the count, and that the next migration
+// counts from scratch.
+func TestClearDuringMigrationResetsCount(t *testing.T) {
+	const shards = 4
+	m := NewTable[int](hashes.STL, false, shards)
+	for i := 0; i < 1000; i++ {
+		m.Put(fmt.Sprintf("key-%04d", i), i)
+	}
+	m.BeginMigration(hashes.FNV)
+	m.MigrateStep(4)
+	m.MigrateStep(4)
+	m.Clear()
+	if m.Migrating() || m.active.Load() != 0 {
+		t.Fatalf("after Clear: Migrating() = %v, count %d", m.Migrating(), m.active.Load())
+	}
+	if m.MigrateStep(4) {
+		t.Fatal("MigrateStep after Clear reported a migration in progress")
+	}
+	m.Put("a", 1)
+	m.BeginMigration(hashes.STL)
+	if got := m.active.Load(); got != shards {
+		t.Fatalf("migrating count %d after the next BeginMigration, want %d", got, shards)
+	}
+	for m.MigrateStep(4) {
+	}
+	if m.active.Load() != 0 {
+		t.Fatalf("migrating count %d after the drain", m.active.Load())
+	}
+	if v, ok := m.Get("a"); !ok || v != 1 {
+		t.Fatalf("Get(a) = (%d,%v) after the second migration", v, ok)
+	}
+}
+
+// TestMigrationConcurrentOps runs Put, Get, MigrateStep, BeginMigration
+// and Clear concurrently; under -race it probes the migrating flags and
+// count. A found value must be the one every writer stores for its key,
+// and once the goroutines stop, the count must equal the shards whose
+// tables still migrate.
+func TestMigrationConcurrentOps(t *testing.T) {
+	const shards, perG = 4, 3000
+	m := NewTable[int](hashes.STL, false, shards)
+	funcs := []hashes.Func{hashes.FNV, hashes.STL, hashes.FNV1}
+	key := func(i int) string { return fmt.Sprintf("key-%04d", i%1500) }
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) { m.Put(key(i), i%1500) })
+	run(func(i int) { m.Put(key(i*7), (i*7)%1500) })
+	run(func(i int) {
+		if v, ok := m.Get(key(i * 3)); ok && v != (i*3)%1500 {
+			t.Errorf("Get(%q) = %d, want %d", key(i*3), v, (i*3)%1500)
+		}
+	})
+	run(func(int) { m.MigrateStep(2) })
+	run(func(int) { m.MigrateStep(5) })
+	run(func(i int) {
+		switch {
+		case i%200 == 0:
+			m.BeginMigration(funcs[(i/200)%len(funcs)])
+		case i%700 == 350:
+			m.Clear()
+		}
+	})
+	wg.Wait()
+	want := 0
+	for i := range m.tabs {
+		m.locks[i].RLock()
+		mg := m.tabs[i].Migrating()
+		if mg != m.locks[i].migrating.Load() {
+			t.Errorf("shard %d: flag %v, table migrating %v", i, m.locks[i].migrating.Load(), mg)
+		}
+		if mg {
+			want++
+		}
+		m.locks[i].RUnlock()
+	}
+	if got := m.active.Load(); got != int64(want) {
+		t.Fatalf("migrating count %d, want %d shards still migrating", got, want)
+	}
+	for m.MigrateStep(8) {
+	}
+	for i := range m.tabs {
+		if m.tabs[i].Migrating() {
+			t.Fatalf("shard %d still migrating after the drain", i)
+		}
+	}
+}

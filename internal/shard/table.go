@@ -15,7 +15,9 @@ type Table[V any] struct {
 	locks []shardLock
 	tabs  []*container.Table[V] // tabs[i] is guarded by locks[i]
 
-	// cursor round-robins MigrateStep over the shards.
+	// active counts the shards whose migrating flag is set; cursor
+	// spreads concurrent MigrateStep calls over those shards.
+	active atomic.Int64
 	cursor atomic.Uint64
 }
 
@@ -186,11 +188,12 @@ func (t *Table[V]) Reserve(n int) {
 	}
 }
 
-// Clear removes every entry.
+// Clear removes every entry. It ends any migration in progress.
 func (t *Table[V]) Clear() {
 	for i := range t.tabs {
 		t.locks[i].Lock()
 		t.tabs[i].Clear()
+		t.finished(i)
 		t.locks[i].Unlock()
 	}
 }
@@ -218,37 +221,53 @@ func (t *Table[V]) SetShardObservers(f func(shard int) container.Observer) {
 // using the original hash, which stays correct (routing needs only
 // determinism and spread) while probing inside each shard switches to
 // the new function.
+//
+// Each shard's migrating flag mirrors its table's Migrating and is set
+// and cleared under the shard's lock; the table's count of set flags
+// answers Migrating without taking a lock.
 func (t *Table[V]) BeginMigration(newHash hashes.Func) {
 	for i := range t.tabs {
 		t.locks[i].Lock()
 		t.tabs[i].BeginMigration(newHash)
+		if !t.locks[i].migrating.Swap(true) {
+			t.active.Add(1)
+		}
 		t.locks[i].Unlock()
 	}
 }
 
-// MigrateStep drains up to k retired buckets from the next shard in
-// round-robin order, returning true while any shard is still
-// migrating.
+// finished clears shard i's migrating flag. The caller holds its lock.
+func (t *Table[V]) finished(i int) {
+	if t.locks[i].migrating.Swap(false) {
+		t.active.Add(-1)
+	}
+}
+
+// MigrateStep drains up to k retired buckets from one migrating shard,
+// the first whose flag is set in a scan from a rotating start, and
+// returns true while any shard is still migrating. The scan reads
+// flags without locking, so a finished shard costs one atomic load.
 func (t *Table[V]) MigrateStep(k int) bool {
-	s := int(t.cursor.Add(1)-1) % len(t.tabs)
-	t.locks[s].Lock()
-	more := t.tabs[s].MigrateStep(k)
-	t.locks[s].Unlock()
-	if more {
-		return true
+	n := len(t.tabs)
+	start := int(t.cursor.Add(1) - 1)
+	for j := 0; j < n && t.active.Load() > 0; j++ {
+		s := (start + j) & (n - 1)
+		l := &t.locks[s]
+		if !l.migrating.Load() {
+			continue
+		}
+		l.Lock()
+		stepped := l.migrating.Load() // another step may have finished it
+		if stepped && !t.tabs[s].MigrateStep(k) {
+			t.finished(s)
+		}
+		l.Unlock()
+		if stepped {
+			break
+		}
 	}
 	return t.Migrating()
 }
 
 // Migrating reports whether any shard's migration is in progress.
-func (t *Table[V]) Migrating() bool {
-	for i := range t.tabs {
-		t.locks[i].RLock()
-		mg := t.tabs[i].Migrating()
-		t.locks[i].RUnlock()
-		if mg {
-			return true
-		}
-	}
-	return false
-}
+func (t *Table[V]) Migrating() bool { return t.active.Load() > 0 }
