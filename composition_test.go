@@ -609,6 +609,32 @@ func TestForEachMutatingCallback(t *testing.T) {
 	}
 }
 
+// TestForEachAllocsIndependentOfSize pins ForEach's copies to one
+// allocation each, sized from the entry count, however many entries
+// the container holds: growing them by append would allocate once per
+// growth step.
+func TestForEachAllocsIndependentOfSize(t *testing.T) {
+	for _, opts := range [][]sepe.ContainerOption{nil, {sepe.Sharded(4)}} {
+		var allocs []float64
+		shards := 0
+		for _, n := range []int{256, 4096} {
+			m := sepe.NewMap[int](sepe.STLHash, opts...)
+			shards = m.Shards()
+			for i := range n {
+				m.Put(fmt.Sprintf("key-%05d", i), i)
+			}
+			sum := 0
+			allocs = append(allocs, testing.AllocsPerRun(10, func() {
+				m.ForEach(func(_ string, v int) { sum += v })
+			}))
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%d shards: ForEach allocates %.0f times over 256 entries, %.0f over 4096; want the same",
+				shards, allocs[0], allocs[1])
+		}
+	}
+}
+
 // FuzzCompositionOps replays a fuzzer-chosen op tape on one
 // composition against the model, sequentially, so every divergence is
 // a correctness bug in routing, bucketing or batching rather than a

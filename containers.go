@@ -248,9 +248,13 @@ func (c *store[V]) Len() int {
 // when ForEach began, each once, whatever it inserts or deletes. A
 // sharded container copies one shard at a time under its read lock,
 // so the copy is not an atomic snapshot of concurrent writers.
+//
+// The copies are sized from the entry count up front. On a sharded
+// container that count is only a hint: a shard that grows before its
+// turn is copied by append.
 func (c *store[V]) ForEach(f func(key string, val V)) {
-	var keys []string
-	var vals []V
+	n := c.Len()
+	keys, vals := make([]string, 0, n), make([]V, 0, n)
 	if c.sh != nil {
 		for i := range c.sh.Shards() {
 			keys, vals = c.sh.Snapshot(i, keys, vals)

@@ -25,6 +25,15 @@
 // math.MaxInt32 entries; a sharded container's limit is that times its
 // shard count.
 //
+// Rehashes and migrations allocate only head arrays, as libstdc++'s
+// rehash allocates only a bucket array. The entry and link arrays grow
+// together, and only when full, to buckets + 1 slots: under max load
+// factor 1 the most a table holds before its next rehash. A fill thus
+// reallocates them once per bucket growth, to about 2× the entries just
+// after a growth, where append's 1.25× steps would reallocate several
+// times per rehash. (A migration to fewer buckets keeps the larger
+// arrays; their erased slots refill first.)
+//
 // The bucket is always hash % bucket_count. RQ7's "low-mixing
 // container", which drops low-order hash bits before the modulo, is a
 // property of the hash the table is given: its callers shift the hash.
@@ -183,9 +192,31 @@ func (t *Table[V]) alloc(e entry[V]) int32 {
 		return i
 	}
 	i := slot(len(t.ents))
+	if len(t.ents) == cap(t.ents) {
+		t.growSlots()
+	}
 	t.ents = append(t.ents, e)
 	t.links = append(t.links, -1)
 	return i
+}
+
+// growSlots reallocates the full entry and link arrays together, with
+// room for len(heads)+1 slots: put allocates a slot before its load
+// check, so that is the most the table holds before its next rehash.
+// make and copy, not append, whose growth would round the capacity up
+// past that bound.
+//
+// The new capacity always exceeds the old, even after a migration
+// sized the buckets below the slot count: alloc grows the arrays only
+// when no erased slot is left, so their length is the table's size,
+// and put keeps the size within len(heads).
+func (t *Table[V]) growSlots() {
+	n := min(len(t.heads)+1, maxEntries)
+	ents := make([]entry[V], len(t.ents), n)
+	copy(ents, t.ents)
+	links := make([]int32, len(t.links), n)
+	copy(links, t.links)
+	t.ents, t.links = ents, links
 }
 
 // release zeroes slot i, so it pins no key or value, and pushes it on

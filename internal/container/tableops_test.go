@@ -170,6 +170,10 @@ func FuzzTableOps(f *testing.F) {
 	for _, hs := range [][3]byte{{1, 2, 0}, {2, 1, 3}, {0, 1, 2}, {0x81, 0, 1}} {
 		f.Add(mixedCursorTape(hs[0], hs[1], hs[2]))
 	}
+	// Slot arrays that grow mid-migration over fewer buckets than slots.
+	for _, hs := range [][2]byte{{0, 3}, {1, 2}, {0x82, 0}} {
+		f.Add(shrinkGrowTape(hs[0], hs[1]))
+	}
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		intVal := func(i int) int { return i }
 		noVal := func(int) struct{} { return struct{}{} }
@@ -220,6 +224,37 @@ func mixedCursorTape(from, to, then byte) []byte {
 	for i := range 8 {
 		op(15, 0)
 		op(6, i)
+	}
+	return tape
+}
+
+// shrinkGrowTape is an op tape that fills a table with 30 keys, which
+// leaves its slot arrays full, erases all but four, and migrates it to
+// hash index to, over 13 buckets against 30 slots. It then inserts 92
+// keys with a MigrateStep after every other one, so the slot arrays
+// grow twice, past 30 and past 60 slots, while the retired region still
+// holds entries; lookups, erasures and duplicates follow.
+func shrinkGrowTape(from, to byte) []byte {
+	tape := []byte{from}
+	op := func(code byte, arg int) { tape = append(tape, code, byte(arg)) }
+	for i := range 30 {
+		op(0, i)
+	}
+	for i := 4; i < 30; i++ {
+		op(8, i)
+	}
+	op(14, int(to))
+	for i := 4; i < len(tapeKeys); i++ {
+		op(0, i)
+		if i%2 == 0 {
+			op(15, 0) // MigrateStep 1
+		}
+	}
+	for i := range 16 {
+		op(6, 3*i)
+		op(8, 5*i+1)
+		op(0, 7*i) // a duplicate in multi tables
+		op(15, 1)  // MigrateStep 2
 	}
 	return tape
 }
