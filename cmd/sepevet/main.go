@@ -1,10 +1,9 @@
 // Command sepevet is the project's static-analysis multichecker: it
-// runs the nine sepe-specific analyzers — lockcheck (shard-lock
-// discipline), atomicfield (atomic/plain access consistency),
-// spancheck (telemetry span pairing), unsafeaudit (unsafe confined to
-// kernel packages), seedcheck (raw seed material never reaches fmt,
-// log, or telemetry sinks), lockorder (whole-program lock-acquisition
-// order and callback-under-lock), allocfree (//sepe:noalloc checked
+// runs the seven sepe-specific analyzers — atomicfield (atomic/plain
+// access consistency), unsafeaudit (unsafe confined to kernel
+// packages), seedcheck (raw seed material never reaches fmt, log, or
+// telemetry sinks), lockorder (whole-program lock-acquisition order
+// and callbacks under ranked locks), allocfree (//sepe:noalloc checked
 // against the compiler's escape analysis), asmabi (assembly kernels
 // against their Go stubs), httpcheck (handler hygiene) — over the
 // requested packages and exits non-zero if any finding is neither
@@ -46,18 +45,14 @@ import (
 	"github.com/sepe-go/sepe/internal/analysis/asmabi"
 	"github.com/sepe-go/sepe/internal/analysis/atomicfield"
 	"github.com/sepe-go/sepe/internal/analysis/httpcheck"
-	"github.com/sepe-go/sepe/internal/analysis/lockcheck"
 	"github.com/sepe-go/sepe/internal/analysis/lockorder"
 	"github.com/sepe-go/sepe/internal/analysis/seedcheck"
-	"github.com/sepe-go/sepe/internal/analysis/spancheck"
 	"github.com/sepe-go/sepe/internal/analysis/unsafeaudit"
 )
 
 // All lists every analyzer sepevet runs by default.
 var All = []*analysis.Analyzer{
-	lockcheck.Analyzer,
 	atomicfield.Analyzer,
-	spancheck.Analyzer,
 	unsafeaudit.Analyzer,
 	seedcheck.Analyzer,
 	lockorder.Analyzer,
@@ -180,18 +175,23 @@ func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
 	if only == "" {
 		return All, nil
 	}
+	known := map[string]bool{}
+	for _, a := range All {
+		known[a.Name] = true
+	}
 	wanted := map[string]bool{}
 	for _, name := range strings.Split(only, ",") {
-		wanted[strings.TrimSpace(name)] = true
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			return nil, fmt.Errorf("sepevet: -only names unknown analyzer %q", name)
+		}
+		wanted[name] = true
 	}
 	var analyzers []*analysis.Analyzer
 	for _, a := range All {
 		if wanted[a.Name] {
 			analyzers = append(analyzers, a)
 		}
-	}
-	if len(analyzers) == 0 {
-		return nil, fmt.Errorf("sepevet: no analyzers match -only %q", only)
 	}
 	return analyzers, nil
 }

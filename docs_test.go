@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -13,12 +14,15 @@ var (
 	docSepebenchArg = regexp.MustCompile(`sepebench\s+-([a-z][a-z0-9-]*)`)
 	makefileRule    = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):([^=]|$)`)
 	sepebenchFlag   = regexp.MustCompile(`flag\.\w+\(\s*"([^"]+)"`)
+	docSepevetOnly  = regexp.MustCompile(`sepevet\b[^\n]*?-only\s+([A-Za-z0-9_,]+)`)
 )
 
 // TestDocsNameExistingArtifacts checks that the reader-facing docs
 // point only at things a reader can run or open: every BENCH_*.json
 // record they mention is checked in, every `make X` is a Makefile
-// rule, and every `sepebench -flag` is a flag cmd/sepebench defines.
+// rule, every `sepebench -flag` is a flag cmd/sepebench defines, and
+// every analyzer named after `sepevet … -only` has its package under
+// internal/analysis.
 func TestDocsNameExistingArtifacts(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -65,6 +69,13 @@ func TestDocsNameExistingArtifacts(t *testing.T) {
 		for _, m := range docSepebenchArg.FindAllStringSubmatch(string(text), -1) {
 			if !flags[m[1]] {
 				t.Errorf("%s names `sepebench -%s`, which cmd/sepebench does not define", doc, m[1])
+			}
+		}
+		for _, m := range docSepevetOnly.FindAllStringSubmatch(string(text), -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				if fi, err := os.Stat(filepath.Join("internal", "analysis", name)); name == "" || err != nil || !fi.IsDir() {
+					t.Errorf("%s names `sepevet -only %s`, which internal/analysis does not hold", doc, name)
+				}
 			}
 		}
 	}

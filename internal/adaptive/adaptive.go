@@ -489,9 +489,15 @@ func (h *Hash) degrade() {
 // fallback after MaxAttempts failures.
 func (h *Hash) heal(done chan struct{}) {
 	defer close(done)
-	endHeal := telemetry.StartEvent(h.rec, "adaptive", "adaptive.heal",
-		telemetry.Str("hash", h.name))
-	defer endHeal()
+	telemetry.Span(h.rec, "adaptive", "adaptive.heal", func() []telemetry.Attr {
+		h.resynthesize()
+		return nil
+	}, telemetry.Str("hash", h.name))
+}
+
+// resynthesize runs heal's attempts until one is promoted, Close
+// cancels the loop, or the circuit breaker pins the fallback.
+func (h *Hash) resynthesize() {
 	h.setState(StateResynthesizing)
 	backoff := h.cfg.InitialBackoff
 	for attempt := 0; attempt < h.cfg.MaxAttempts; attempt++ {
@@ -509,12 +515,14 @@ func (h *Hash) heal(done chan struct{}) {
 			}
 		}
 		h.metrics.Attempt()
-		endAttempt := telemetry.StartEvent(h.rec, "adaptive", "adaptive.resynth",
-			telemetry.Str("hash", h.name), telemetry.Int("attempt", attempt+1))
-		actx, cancel := context.WithTimeout(h.baseCtx, h.cfg.AttemptTimeout)
-		fn, err := h.attempt(actx)
-		cancel()
-		endAttempt(telemetry.Bool("ok", err == nil))
+		var fn Function
+		var err error
+		telemetry.Span(h.rec, "adaptive", "adaptive.resynth", func() []telemetry.Attr {
+			actx, cancel := context.WithTimeout(h.baseCtx, h.cfg.AttemptTimeout)
+			defer cancel()
+			fn, err = h.attempt(actx)
+			return []telemetry.Attr{telemetry.Bool("ok", err == nil)}
+		}, telemetry.Str("hash", h.name), telemetry.Int("attempt", attempt+1))
 		if err == nil {
 			h.promote(fn)
 			return

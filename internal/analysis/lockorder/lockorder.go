@@ -1,34 +1,37 @@
 // Package lockorder checks the program's locks against a declared
-// partial order. Where lockcheck polices one package's local
-// discipline (shard code never nests), lockorder is whole-program: it
-// classifies every sync.Mutex/RWMutex in the module into a lock class
-// (the struct field, embedding type, or package variable that declares
-// it), builds the inter-procedural acquired-while-held graph over
-// those classes, and reports
+// partial order. It is whole-program: it classifies every
+// sync.Mutex/RWMutex in the module into a lock class (the struct
+// field, embedding type, or package variable that declares it), builds
+// the inter-procedural acquired-while-held graph over those classes,
+// and reports
 //
 //   - cycles in the graph — two classes each acquired while the other
 //     is held on some call path can deadlock, even if no single
 //     function nests them;
+//   - re-acquiring a class already held — a self-deadlock, or two
+//     stripes of one class nested, which striping forbids;
 //   - violations of the declared ranks: a `//sepe:lockrank N`
 //     directive on a mutex field (or on a type embedding a mutex, or a
 //     package-level mutex variable) places the class in the intended
 //     order, and every edge between two ranked classes must go from a
 //     lower rank to a strictly higher one;
-//   - callbacks under ranked locks: calling a caller-supplied func
-//     parameter (or a function that synchronously invokes one) while a
+//   - callbacks under ranked locks: calling a func value while a
 //     ranked lock is held hands control to code outside the order —
-//     the shape of the shard→callback deadlock PR 5 fixed. Only func
-//     parameters count as callbacks: func values read from struct
-//     fields (wired instrumentation) are internal plumbing whose
-//     no-lock discipline is the declaring package's contract, and
-//     locally bound literals are package code.
+//     the shard→callback deadlock shape. A caller-supplied func
+//     parameter counts directly and through any function that
+//     synchronously invokes one (a ForEach forwarding it). A func read
+//     from a struct field counts only where it is called under the
+//     lock, not through callees: container tables call their own
+//     stored hash field, and the shard layer calls those tables under
+//     its lock, so propagating field calls would flag every locked
+//     table operation. Locally bound literals are package code.
 //
-// The analysis is syntactic and flow-approximate in the same way
-// lockcheck is: the held set threads through straight-line flow,
-// branches fork it, deferred unlocks pin a lock to function exit, and
-// goroutine bodies start empty (a spawned goroutine does not hold its
-// creator's locks, and locks it takes are concurrent, not nested).
-// Function literals are analyzed as functions of their own.
+// The analysis is syntactic and flow-approximate: the held set threads
+// through straight-line flow, branches fork it, deferred unlocks pin a
+// lock to function exit, and goroutine bodies start empty (a spawned
+// goroutine does not hold its creator's locks, and locks it takes are
+// concurrent, not nested). Function literals are analyzed as functions
+// of their own.
 package lockorder
 
 import (
@@ -603,8 +606,10 @@ func (w *walker) expr(e ast.Expr, held map[*lockClass]token.Pos) {
 		return
 	}
 	// Dynamic dispatch through a func value.
-	if expr, ok := w.dynamicCallee(call); ok {
-		w.info.invokesCallback = true
+	if expr, param, ok := w.dynamicCallee(call); ok {
+		if param {
+			w.info.invokesCallback = true
+		}
 		if len(held) > 0 {
 			w.info.callbacks = append(w.info.callbacks, callbackSite{
 				held: heldList(held),
@@ -683,17 +688,20 @@ func (w *walker) litReferencesParam(lit *ast.FuncLit) bool {
 }
 
 // dynamicCallee reports a call through a caller-supplied func
-// parameter. Struct-field func values and locally bound literals are
-// internal wiring, not callbacks — see the package comment.
-func (w *walker) dynamicCallee(call *ast.CallExpr) (string, bool) {
-	fun, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return "", false
+// parameter (param) or through a func-typed struct field. Locally bound
+// literals are package code, not callbacks — see the package comment.
+func (w *walker) dynamicCallee(call *ast.CallExpr) (expr string, param, ok bool) {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		if obj, isVar := w.pkg.TypesInfo.Uses[fun].(*types.Var); isVar && w.params[obj] && !w.litBound[obj] {
+			return fun.Name, true, true
+		}
+	case *ast.SelectorExpr:
+		if sel, found := w.pkg.TypesInfo.Selections[fun]; found && sel.Kind() == types.FieldVal {
+			return types.ExprString(fun), false, true
+		}
 	}
-	if obj, isVar := w.pkg.TypesInfo.Uses[fun].(*types.Var); isVar && w.params[obj] && !w.litBound[obj] {
-		return fun.Name, true
-	}
-	return "", false
+	return "", false, false
 }
 
 // propagate computes each function's transitive may-acquire set and

@@ -262,3 +262,166 @@ func (m *Map) ForEachInlineWrap(f func(string)) {
 		"calls func value f while holding shardlike.stripe (lockrank 50): callbacks must not run under ranked locks",
 	)
 }
+
+// shardHeader declares a miniature of internal/shard's core: a ranked
+// lock stripe, per-shard tables with a synchronous iterator, and a
+// stored callback field.
+const shardHeader = `package shard
+
+import "sync"
+
+// shardLock is one lock stripe.
+//
+//sepe:lockrank 50
+type shardLock struct{ sync.RWMutex }
+
+type tab struct{ keys []int }
+
+func (tab) Put(k int) {}
+func (t tab) ForEach(f func(int)) {
+	for _, k := range t.keys {
+		f(k)
+	}
+}
+func (tab) Len() int { return 0 }
+
+type T struct {
+	locks []shardLock
+	tabs  []tab
+	cb    func(int)
+}
+`
+
+func runShard(t *testing.T, body string) []string {
+	t.Helper()
+	return analysistest.Run(t, map[string]string{
+		"internal/shard/shard.go": shardHeader,
+		"internal/shard/ops.go":   "package shard\n\n" + body,
+	}, lockorder.Analyzer)
+}
+
+// Two stripes of one class nested: the rank does not increase, and the
+// class is already held.
+func TestNestedLocks(t *testing.T) {
+	got := runShard(t, `
+func (t *T) bad() {
+	t.locks[0].Lock()
+	t.locks[1].Lock()
+	t.locks[1].Unlock()
+	t.locks[0].Unlock()
+}
+`)
+	analysistest.Expect(t, got,
+		"acquires shard.shardLock while holding shard.shardLock: lockrank 50 does not increase over 50",
+		"acquires shard.shardLock while holding shard.shardLock — same lock class is already held",
+	)
+}
+
+func TestSequentialLocksAreClean(t *testing.T) {
+	got := runShard(t, `
+func (t *T) good() int {
+	n := 0
+	for i := range t.tabs {
+		t.locks[i].RLock()
+		n += t.tabs[i].Len()
+		t.locks[i].RUnlock()
+	}
+	return n
+}
+
+func (t *T) deferred(i int) int {
+	t.locks[i].Lock()
+	defer t.locks[i].Unlock()
+	return t.tabs[i].Len()
+}
+`)
+	analysistest.Expect(t, got)
+}
+
+func TestCallbackFieldUnderLock(t *testing.T) {
+	got := runShard(t, `
+func (t *T) bad(i int) {
+	t.locks[i].Lock()
+	t.cb(i)
+	t.locks[i].Unlock()
+}
+`)
+	analysistest.Expect(t, got,
+		"calls func value t.cb while holding shard.shardLock (lockrank 50): callbacks must not run under ranked locks")
+}
+
+func TestCallbackParamUnderLock(t *testing.T) {
+	got := runShard(t, `
+func (t *T) bad(i int, f func(int)) {
+	t.locks[i].Lock()
+	f(i)
+	t.locks[i].Unlock()
+}
+`)
+	analysistest.Expect(t, got,
+		"calls func value f while holding shard.shardLock (lockrank 50): callbacks must not run under ranked locks")
+}
+
+func TestForwardedCallbackUnderLock(t *testing.T) {
+	got := runShard(t, `
+func (t *T) bad(f func(int)) {
+	for i := range t.tabs {
+		t.locks[i].RLock()
+		t.tabs[i].ForEach(f)
+		t.locks[i].RUnlock()
+	}
+}
+`)
+	analysistest.Expect(t, got,
+		"call to ForEach may run a callback while holding shard.shardLock (lockrank 50): callbacks must not run under ranked locks")
+}
+
+// The snapshot idiom must stay clean: collect under the lock with a
+// locally defined literal, call the user callback after unlocking.
+func TestSnapshotIdiomIsClean(t *testing.T) {
+	got := runShard(t, `
+func (t *T) good(f func(int)) {
+	for i := range t.tabs {
+		var keys []int
+		collect := func(k int) { keys = append(keys, k) }
+		t.locks[i].RLock()
+		t.tabs[i].ForEach(collect)
+		t.locks[i].RUnlock()
+		for _, k := range keys {
+			f(k)
+		}
+	}
+}
+
+func (t *T) hoisted(f func(int) int, i int) {
+	v := f(i)
+	t.locks[i].Lock()
+	t.tabs[i].Put(v)
+	t.locks[i].Unlock()
+}
+`)
+	analysistest.Expect(t, got)
+}
+
+// A func field called under an unranked lock is outside the declared
+// order and goes unreported.
+func TestUnrankedLockCallbackIsClean(t *testing.T) {
+	got := analysistest.Run(t, map[string]string{
+		"other/other.go": `package other
+
+import "sync"
+
+type T struct {
+	locks []sync.RWMutex
+	cb    func(int)
+}
+
+func (t *T) unranked(i int) {
+	t.locks[i].Lock()
+	t.cb(i)
+	t.locks[i].Unlock()
+}
+`,
+	}, lockorder.Analyzer)
+	analysistest.Expect(t, got)
+}

@@ -88,30 +88,32 @@ func (p *Plan) mixed() bool {
 // construction makes rejection impossible, but the proof — not the
 // construction — gates acceptance.
 func deriveSeed(s *seed.Seed, rec *telemetry.Recorder) *PlanSeed {
-	done := telemetry.StartEvent(rec, "plan", "plan.seed")
-	for attempt := uint64(0); ; attempt++ {
-		m := s.MaterialAt(attempt)
-		ps := &PlanSeed{
-			R:   m.R,
-			K0:  aesround.State{Lo: m.K0Lo, Hi: m.K0Hi},
-			K1:  aesround.State{Lo: m.K1Lo, Hi: m.K1Hi},
-			Gen: s.Generation(),
+	var ps *PlanSeed
+	telemetry.Span(rec, "plan", "plan.seed", func() []telemetry.Attr {
+		for attempt := uint64(0); ; attempt++ {
+			m := s.MaterialAt(attempt)
+			ps = &PlanSeed{
+				R:   m.R,
+				K0:  aesround.State{Lo: m.K0Lo, Hi: m.K0Hi},
+				K1:  aesround.State{Lo: m.K1Lo, Hi: m.K1Hi},
+				Gen: s.Generation(),
+			}
+			cols := make([]uint64, 64)
+			for b := 0; b < 64; b++ {
+				cols[b] = ps.Mix(1 << b)
+			}
+			rank, _ := gf2(cols)
+			inv, ok := gf2Invert(cols)
+			if rank != 64 || !ok {
+				continue
+			}
+			ps.inv = inv
+			ps.C = ps.Mix(m.Pre)
+			return []telemetry.Attr{telemetry.Int("attempt", int(attempt)),
+				telemetry.Int("generation", int(ps.Gen))}
 		}
-		cols := make([]uint64, 64)
-		for b := 0; b < 64; b++ {
-			cols[b] = ps.Mix(1 << b)
-		}
-		rank, _ := gf2(cols)
-		inv, ok := gf2Invert(cols)
-		if rank != 64 || !ok {
-			continue
-		}
-		ps.inv = inv
-		ps.C = ps.Mix(m.Pre)
-		done(telemetry.Int("attempt", int(attempt)),
-			telemetry.Int("generation", int(ps.Gen)))
-		return ps
-	}
+	})
+	return ps
 }
 
 // gf2Invert inverts a 64×64 GF(2) matrix given as columns (cols[b] is

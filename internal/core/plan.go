@@ -96,16 +96,20 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 	if pat == nil {
 		return nil, ErrNilPattern
 	}
-	validateDone := telemetry.StartEvent(opts.Recorder, "plan", "plan.pattern")
-	if err := pat.Validate(); err != nil {
-		// Close the span on the error path too: a rejected pattern
-		// must show up in the trace, not truncate it.
-		validateDone(telemetry.Str("error", err.Error()))
+	var err error
+	telemetry.Span(opts.Recorder, "plan", "plan.pattern", func() []telemetry.Attr {
+		// A rejected pattern shows up in the trace too, not as a
+		// truncated one.
+		if err = pat.Validate(); err != nil {
+			return []telemetry.Attr{telemetry.Str("error", err.Error())}
+		}
+		return []telemetry.Attr{telemetry.Int("min_len", pat.MinLen),
+			telemetry.Int("max_len", pat.MaxLen),
+			telemetry.Int("variable_bits", pat.VarBitCount())}
+	})
+	if err != nil {
 		return nil, err
 	}
-	validateDone(telemetry.Int("min_len", pat.MinLen),
-		telemetry.Int("max_len", pat.MaxLen),
-		telemetry.Int("variable_bits", pat.VarBitCount()))
 	tgt := opts.Target
 	if tgt.Name == "" {
 		tgt = TargetX86
@@ -120,7 +124,6 @@ func BuildPlan(pat *pattern.Pattern, fam Family, opts Options) (*Plan, error) {
 		Fixed:   pat.FixedLen(),
 		KeyLen:  pat.MaxLen,
 	}
-	var err error
 	switch {
 	case pat.MinLen < pattern.WordSize && !opts.AllowShort:
 		p.Fallback = true
@@ -174,29 +177,30 @@ func buildFixedPlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, error)
 	// or the bijection breaks — compare the paper's Figure 12, where
 	// the second SSN mask covers only the three bytes the first load
 	// missed).
-	pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
-	covered := make([]bool, pat.MaxLen)
-	var loads []Load
-	total := 0
-	for _, o := range offsets {
-		var m uint64
-		for i := 0; i < pattern.WordSize; i++ {
-			pos := o + i
-			if pos >= pat.MaxLen || covered[pos] {
-				continue
+	telemetry.Span(rec, "plan", "plan.pext", func() []telemetry.Attr {
+		covered := make([]bool, pat.MaxLen)
+		var loads []Load
+		total := 0
+		for _, o := range offsets {
+			var m uint64
+			for i := 0; i < pattern.WordSize; i++ {
+				pos := o + i
+				if pos >= pat.MaxLen || covered[pos] {
+					continue
+				}
+				covered[pos] = true
+				m |= uint64(pat.Bytes[pos].VarBits()) << (8 * i)
 			}
-			covered[pos] = true
-			m |= uint64(pat.Bytes[pos].VarBits()) << (8 * i)
+			if m == 0 {
+				continue // load fully shadowed by earlier ones
+			}
+			loads = append(loads, Load{Offset: o, Mask: m, ext: pext.Compile(m)})
+			total += bits.OnesCount64(m)
 		}
-		if m == 0 {
-			continue // load fully shadowed by earlier ones
-		}
-		loads = append(loads, Load{Offset: o, Mask: m, ext: pext.Compile(m)})
-		total += bits.OnesCount64(m)
-	}
-	p.HashBits = total
-	p.Loads = packShifts(loads, total)
-	pextDone(telemetry.Int("masks", len(loads)), telemetry.Int("extracted_bits", total))
+		p.HashBits = total
+		p.Loads = packShifts(loads, total)
+		return []telemetry.Attr{telemetry.Int("masks", len(loads)), telemetry.Int("extracted_bits", total)}
+	})
 	return p, nil
 }
 
@@ -255,25 +259,26 @@ func buildVariablePlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, err
 	if fam == Pext {
 		// Attach an extractor per load so constant bits vanish from
 		// the loop too. Loads are at cumulative skip offsets.
-		pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
-		defer func() { pextDone(telemetry.Int("masks", len(p.Loads))) }()
-		off := 0
-		cum := 0
-		for c := 0; c < n; c++ {
-			off += skipAt(skip, c)
-			m := pat.WordMask(off)
-			if m == 0 {
-				m = ^uint64(0)
+		telemetry.Span(rec, "plan", "plan.pext", func() []telemetry.Attr {
+			off := 0
+			cum := 0
+			for c := 0; c < n; c++ {
+				off += skipAt(skip, c)
+				m := pat.WordMask(off)
+				if m == 0 {
+					m = ^uint64(0)
+				}
+				e := pext.Compile(m)
+				p.Loads = append(p.Loads, Load{
+					Offset: off,
+					Mask:   m,
+					Shift:  uint(cum % 64),
+					ext:    e,
+				})
+				cum += e.Bits()
 			}
-			e := pext.Compile(m)
-			p.Loads = append(p.Loads, Load{
-				Offset: off,
-				Mask:   m,
-				Shift:  uint(cum % 64),
-				ext:    e,
-			})
-			cum += e.Bits()
-		}
+			return []telemetry.Attr{telemetry.Int("masks", len(p.Loads))}
+		})
 	}
 	return p, nil
 }
@@ -296,18 +301,19 @@ func buildShortPlan(p *Plan, fam Family, rec *telemetry.Recorder) (*Plan, error)
 	}
 	l := Load{Offset: 0, Partial: n, Mask: ^uint64(0)}
 	if fam == Pext {
-		pextDone := telemetry.StartEvent(rec, "plan", "plan.pext")
-		var m uint64
-		for i := 0; i < n; i++ {
-			m |= uint64(pat.Bytes[i].VarBits()) << (8 * i)
-		}
-		if m == 0 {
-			m = ^uint64(0)
-		}
-		l.Mask = m
-		l.ext = pext.Compile(m)
-		p.HashBits = l.ext.Bits()
-		pextDone(telemetry.Int("masks", 1), telemetry.Int("extracted_bits", p.HashBits))
+		telemetry.Span(rec, "plan", "plan.pext", func() []telemetry.Attr {
+			var m uint64
+			for i := 0; i < n; i++ {
+				m |= uint64(pat.Bytes[i].VarBits()) << (8 * i)
+			}
+			if m == 0 {
+				m = ^uint64(0)
+			}
+			l.Mask = m
+			l.ext = pext.Compile(m)
+			p.HashBits = l.ext.Bits()
+			return []telemetry.Attr{telemetry.Int("masks", 1), telemetry.Int("extracted_bits", p.HashBits)}
+		})
 	} else {
 		p.HashBits = 8 * n
 	}

@@ -20,28 +20,32 @@ type Fn struct {
 // checker (VerifyPlan) before compilation, so planner bugs fail here
 // rather than ship as silently weaker hash functions.
 func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
-	planDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.plan",
-		telemetry.Str("family", fam.String()))
-	plan, err := BuildPlan(pat, fam, opts)
+	family := telemetry.Str("family", fam.String())
+	var plan *Plan
+	var err error
+	telemetry.Span(opts.Recorder, "synth", "synth.plan", func() []telemetry.Attr {
+		if plan, err = BuildPlan(pat, fam, opts); err != nil {
+			return []telemetry.Attr{telemetry.Str("error", err.Error())}
+		}
+		return []telemetry.Attr{telemetry.Int("loads", len(plan.Loads)),
+			telemetry.Int("variable_bits", plan.HashBits),
+			telemetry.Bool("fallback", plan.Fallback),
+			telemetry.Bool("seeded", plan.Seed != nil)}
+	}, family)
 	if err != nil {
-		planDone(telemetry.Str("error", err.Error()))
 		return nil, err
 	}
-	planDone(telemetry.Int("loads", len(plan.Loads)),
-		telemetry.Int("variable_bits", plan.HashBits),
-		telemetry.Bool("fallback", plan.Fallback),
-		telemetry.Bool("seeded", plan.Seed != nil))
-	verifyDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.verify",
-		telemetry.Str("family", fam.String()))
-	// One certificate serves both gates: VerifyPlan's structural check
-	// and the optional bijectivity proof.
-	c := Certify(plan)
-	if err := refuted(c); err != nil {
-		verifyDone(telemetry.Str("error", err.Error()))
-		return nil, err
-	}
-	if opts.RequireBijective && !c.Bijective {
-		err := fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
+	telemetry.Span(opts.Recorder, "synth", "synth.verify", func() []telemetry.Attr {
+		// One certificate serves both gates: VerifyPlan's structural
+		// check and the optional bijectivity proof.
+		c := Certify(plan)
+		if err = refuted(c); err != nil {
+			return []telemetry.Attr{telemetry.Str("error", err.Error())}
+		}
+		if !opts.RequireBijective || c.Bijective {
+			return nil
+		}
+		err = fmt.Errorf("%w: %s", ErrNotBijective, c.Reason)
 		attrs := []telemetry.Attr{telemetry.Str("error", err.Error())}
 		if c.Counterexample != nil {
 			// Counterexample keys are user data: mark them sensitive
@@ -51,14 +55,16 @@ func Synthesize(pat *pattern.Pattern, fam Family, opts Options) (*Fn, error) {
 				telemetry.Sensitive("counterexample_key1", c.Counterexample.Key1),
 				telemetry.Sensitive("counterexample_key2", c.Counterexample.Key2))
 		}
-		verifyDone(attrs...)
+		return attrs
+	}, family)
+	if err != nil {
 		return nil, err
 	}
-	verifyDone()
-	compileDone := telemetry.StartEvent(opts.Recorder, "synth", "synth.compile",
-		telemetry.Str("family", fam.String()))
-	hash := plan.Compile()
-	compileDone(telemetry.Bool("bijective", plan.Bijective()))
+	var hash Func
+	telemetry.Span(opts.Recorder, "synth", "synth.compile", func() []telemetry.Attr {
+		hash = plan.Compile()
+		return []telemetry.Attr{telemetry.Bool("bijective", plan.Bijective())}
+	}, family)
 	return &Fn{plan: plan, hash: hash}, nil
 }
 

@@ -208,41 +208,37 @@ func (r *Recorder) record(ev Event) {
 	r.slots[seq&r.mask].Store(&ev)
 }
 
-// fillAttrs copies up to eventAttrs attributes into ev.
-func fillAttrs(ev *Event, attrs []Attr) {
-	n := len(attrs)
-	if n > eventAttrs {
-		n = eventAttrs
-	}
-	copy(ev.Attrs[:n], attrs[:n])
-	ev.NAttr = uint8(n)
-}
-
 // Instant records a point-in-time event.
 func (r *Recorder) Instant(cat, name string, attrs ...Attr) {
 	if r == nil || !r.enabled.Load() {
 		return
 	}
 	ev := Event{Kind: EventInstant, Cat: cat, Name: name, Start: time.Now().UnixNano()}
-	fillAttrs(&ev, attrs)
+	ev.NAttr = uint8(copy(ev.Attrs[:], attrs))
 	r.record(ev)
 }
 
-// StartEvent begins a recorded span and returns the function that
-// ends and publishes it; attributes passed at end time are appended
-// to those given at start. A nil recorder yields a no-op closure, so
-// call sites need no nil checks, and the done-func must be called
-// exactly once on every return path (the spancheck analyzer enforces
-// this):
+// Span runs body as one recorded span. body runs exactly once, also
+// when r is nil or disabled, and the span ends when body returns or
+// panics; a panic propagates after the span is recorded. The span
+// carries attrs followed by the attributes body returns (none when it
+// panics). Values leave body by capture:
 //
-//	done := telemetry.StartEvent(rec, "adaptive", "adaptive.heal")
-//	defer done()
-func StartEvent(r *Recorder, cat, name string, attrs ...Attr) func(...Attr) {
+//	var fn *Fn
+//	telemetry.Span(rec, "synth", "synth.compile", func() []telemetry.Attr {
+//		fn = compile()
+//		return []telemetry.Attr{telemetry.Bool("ok", fn != nil)}
+//	}, telemetry.Str("family", fam))
+//
+// There is no handle to end a span by, so none can leak or end twice.
+func Span(r *Recorder, cat, name string, body func() []Attr, attrs ...Attr) {
 	if r == nil || !r.enabled.Load() {
-		return func(...Attr) {}
+		body()
+		return
 	}
 	start := time.Now()
-	return func(end ...Attr) {
+	var end []Attr
+	defer func() {
 		ev := Event{
 			Kind:  EventSpan,
 			Cat:   cat,
@@ -250,18 +246,11 @@ func StartEvent(r *Recorder, cat, name string, attrs ...Attr) func(...Attr) {
 			Start: start.UnixNano(),
 			Dur:   int64(time.Since(start)),
 		}
-		if len(end) == 0 {
-			fillAttrs(&ev, attrs)
-		} else if len(attrs) == 0 {
-			fillAttrs(&ev, end)
-		} else {
-			all := make([]Attr, 0, len(attrs)+len(end))
-			all = append(all, attrs...)
-			all = append(all, end...)
-			fillAttrs(&ev, all)
-		}
+		n := copy(ev.Attrs[:], attrs)
+		ev.NAttr = uint8(n + copy(ev.Attrs[n:], end))
 		r.record(ev)
-	}
+	}()
+	end = body()
 }
 
 // Events returns the recorded events, oldest first. The snapshot is

@@ -57,8 +57,7 @@ func TestRecorderDisabled(t *testing.T) {
 		t.Fatal("Enabled after SetEnabled(false)")
 	}
 	r.Instant("c", "dropped")
-	done := StartEvent(r, "c", "also.dropped")
-	done()
+	Span(r, "c", "also.dropped", func() []Attr { return nil })
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Name != "kept" {
 		t.Fatalf("disabled recorder captured %+v", evs)
@@ -70,11 +69,15 @@ func TestRecorderDisabled(t *testing.T) {
 	}
 }
 
-func TestStartEventRecordsSpan(t *testing.T) {
+func TestSpanRecordsStartThenEndAttrs(t *testing.T) {
 	r := NewRecorder(16)
-	done := StartEvent(r, "synth", "synth.plan", Str("family", "pext"))
-	time.Sleep(time.Millisecond)
-	done(Int("loads", 3))
+	Span(r, "synth", "synth.plan", func() []Attr {
+		if got := len(r.Events()); got != 0 {
+			t.Fatalf("span recorded before its body returned: %d events", got)
+		}
+		time.Sleep(time.Millisecond)
+		return []Attr{Int("loads", 3), Bool("ok", true)}
+	}, Str("family", "pext"), Str("hash", "ssn"))
 	evs := r.Events()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events", len(evs))
@@ -86,30 +89,67 @@ func TestStartEventRecordsSpan(t *testing.T) {
 	if ev.Dur <= 0 {
 		t.Fatalf("span duration %d, want > 0", ev.Dur)
 	}
-	attrs := ev.AttrList()
-	if len(attrs) != 2 || attrs[0].Key != "family" || attrs[1].String() != "loads=3" {
-		t.Fatalf("attrs = %+v", attrs)
+	var got []string
+	for _, a := range ev.AttrList() {
+		got = append(got, a.String())
+	}
+	if want := "family=pext hash=ssn loads=3 ok=true"; strings.Join(got, " ") != want {
+		t.Fatalf("attrs = %v, want %s", got, want)
 	}
 }
 
-func TestStartEventPairing(t *testing.T) {
-	r := NewRecorder(16)
-	done := StartEvent(r, "adaptive", "adaptive.heal", Str("hash", "ssn"))
-	if got := len(r.Events()); got != 0 {
-		t.Fatalf("span recorded before done(): %d events", got)
+// The body runs exactly once whether or not anything records it.
+func TestSpanRunsBodyOnce(t *testing.T) {
+	disabled := NewRecorder(16)
+	disabled.SetEnabled(false)
+	for _, tc := range []struct {
+		name  string
+		r     *Recorder
+		spans int
+	}{
+		{"nil", nil, 0},
+		{"disabled", disabled, 0},
+		{"enabled", NewRecorder(16), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runs := 0
+			Span(tc.r, "c", "n", func() []Attr {
+				runs++
+				return []Attr{Int("runs", runs)}
+			}, Str("k", "v"))
+			if runs != 1 {
+				t.Fatalf("body ran %d times, want 1", runs)
+			}
+			if tc.r == nil {
+				return
+			}
+			if got := len(tc.r.Events()); got != tc.spans {
+				t.Fatalf("recorded %d spans, want %d", got, tc.spans)
+			}
+		})
 	}
-	done(Bool("ok", true))
+}
+
+// A panicking body still ends its span, with the start attributes,
+// and the panic reaches the caller.
+func TestSpanRecordsPanickingBody(t *testing.T) {
+	r := NewRecorder(16)
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the body's panic", p)
+			}
+		}()
+		Span(r, "adaptive", "adaptive.heal", func() []Attr { panic("boom") }, Str("hash", "ssn"))
+		t.Fatal("Span returned after its body panicked")
+	}()
 	evs := r.Events()
-	if len(evs) != 1 || evs[0].Kind != EventSpan {
+	if len(evs) != 1 || evs[0].Kind != EventSpan || evs[0].Name != "adaptive.heal" {
 		t.Fatalf("events = %+v", evs)
 	}
-	if got := evs[0].AttrList(); len(got) != 2 || got[1].String() != "ok=true" {
+	if got := evs[0].AttrList(); len(got) != 1 || got[0].String() != "hash=ssn" {
 		t.Fatalf("attrs = %+v", got)
 	}
-
-	// A nil recorder yields a callable no-op.
-	noop := StartEvent(nil, "c", "n")
-	noop()
 }
 
 func TestEventAttrOverflow(t *testing.T) {
@@ -128,8 +168,7 @@ func TestEventAttrOverflow(t *testing.T) {
 func TestWriteJSONLines(t *testing.T) {
 	r := NewRecorder(16)
 	r.Instant("drift", "drift.degraded", Str("monitor", "ssn"))
-	done := StartEvent(r, "container", "container.migrate")
-	done()
+	Span(r, "container", "container.migrate", func() []Attr { return nil })
 	var buf bytes.Buffer
 	if err := r.WriteJSONLines(&buf); err != nil {
 		t.Fatal(err)
@@ -160,9 +199,10 @@ func TestWriteJSONLines(t *testing.T) {
 // ph "X" complete events carrying a dur and ph "i" instants a scope.
 func TestChromeTraceSchema(t *testing.T) {
 	r := NewRecorder(16)
-	done := StartEvent(r, "synth", "synth.plan", Str("family", "pext"))
-	time.Sleep(time.Millisecond)
-	done()
+	Span(r, "synth", "synth.plan", func() []Attr {
+		time.Sleep(time.Millisecond)
+		return nil
+	}, Str("family", "pext"))
 	r.Instant("adaptive", "adaptive.state", Str("state", "Degraded"))
 
 	var buf bytes.Buffer
@@ -266,11 +306,9 @@ func TestRecorderConcurrent(t *testing.T) {
 				case 0:
 					r.Instant("cat", "inst", Int("w", w))
 				case 1:
-					done := StartEvent(r, "cat", "span")
-					done()
+					Span(r, "cat", "span", func() []Attr { return nil })
 				default:
-					end := StartEvent(r, "synth", "synth.x", Str("family", "pext"))
-					end(Int("w", w))
+					Span(r, "synth", "synth.x", func() []Attr { return []Attr{Int("w", w)} }, Str("family", "pext"))
 				}
 			}
 		}(w)
