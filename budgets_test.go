@@ -2,6 +2,7 @@ package sepe_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -323,5 +324,55 @@ func TestAdaptiveReadPathZeroAllocs(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	if n := testing.AllocsPerRun(1000, func() { m.Get(key) }); n != 0 {
 		t.Errorf("adaptive Get allocates %.1f per op", n)
+	}
+}
+
+// TestContainerFillMemoryBudget gates what a fill allocates against the
+// storage the map keeps: filling a Sharded(8) Observed map (the repo
+// benchmark's table-cold shape, scaled down) and a single-owner map
+// with 512 Ki keys each must allocate at most 1.2× the bytes the map
+// still holds after a GC, its slots and bucket heads. A table that
+// copied every slot on growth allocated about 2× them. The ratio is
+// printed with -v; -race leaves it unchanged.
+func TestContainerFillMemoryBudget(t *testing.T) {
+	f, err := sepe.ParseRegex(`[0-9]{3}-[0-9]{2}-[0-9]{4}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sepe.Synthesize(f, sepe.Pext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 512<<10)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%03d-%02d-%04d", i/1000000, i/10000%100, i%10000)
+	}
+	for _, c := range []struct {
+		name string
+		opts []sepe.ContainerOption
+	}{
+		{"sharded observed map", []sepe.ContainerOption{sepe.Sharded(8), sepe.Observed(sepe.NewMetricsRegistry(), "fill")}},
+		{"single-owner map", nil},
+	} {
+		m := sepe.NewMap[int](h.Func(), c.opts...)
+		var start, filled, kept runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&start)
+		for i, k := range keys {
+			m.Put(k, i)
+		}
+		runtime.ReadMemStats(&filled)
+		runtime.GC()
+		runtime.ReadMemStats(&kept)
+		if m.Len() != len(keys) {
+			t.Fatalf("%s: %d entries after the fill, want %d", c.name, m.Len(), len(keys))
+		}
+		allocated := filled.TotalAlloc - start.TotalAlloc
+		held := kept.HeapAlloc - start.HeapAlloc
+		ratio := float64(allocated) / float64(held)
+		t.Logf("%s: fill of %d keys allocated %.1f MB, the map keeps %.1f MB: %.2fx", c.name, len(keys), float64(allocated)/1e6, float64(held)/1e6, ratio)
+		if ratio > 1.2 {
+			t.Errorf("%s: the fill allocated %.2fx the storage the map keeps, budget 1.2x", c.name, ratio)
+		}
 	}
 }

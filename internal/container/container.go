@@ -15,24 +15,31 @@
 //     the number of keys inside the same bucket").
 //
 // The chains are stored flat, not as one allocation per bucket. Each
-// bucket is an int32 head indexing one array of entries (hash, key,
-// value: 32 bytes for an int value), a parallel int32 array links each
-// entry to the next in its chain, and erased slots are zeroed and
-// reused through a free list. Growth, migration and refills relink
-// indices instead of allocating per bucket. Chains keep insertion
-// order, so bucket assignment, B-Coll and iteration order are those of
-// a slice-per-bucket table. The int32 indices limit one table to
+// bucket is an int32 head indexing a slot, which holds an entry (hash,
+// key, value: 32 bytes for an int value) and an int32 link to the next
+// slot in its chain; erased slots are zeroed and reused through a free
+// list. Growth, migration and refills relink indices instead of
+// allocating per bucket. Chains keep insertion order, so bucket
+// assignment, B-Coll and iteration order are those of a
+// slice-per-bucket table. The int32 indices limit one table to
 // math.MaxInt32 entries; a sharded container's limit is that times its
 // shard count.
 //
 // Rehashes and migrations allocate only head arrays, as libstdc++'s
-// rehash allocates only a bucket array. The entry and link arrays grow
-// together, and only when full, to buckets + 1 slots: under max load
-// factor 1 the most a table holds before its next rehash. A fill thus
-// reallocates them once per bucket growth, to about 2× the entries just
-// after a growth, where append's 1.25× steps would reallocate several
-// times per rehash. (A migration to fewer buckets keeps the larger
-// arrays; their erased slots refill first.)
+// rehash allocates only a bucket array. Slot storage is split at
+// chunkSlots (S, 2048 slots). Slots below S live in one entry array and
+// one parallel link array, which grow together, and only when full, to
+// buckets + 1 slots: under max load factor 1 the most a table holds
+// before its next rehash. Their growth to S slots allocates the first
+// S-slot chunk, which backs them from then on; slots from S up live in
+// further chunks, each holding its entries and their links, appended
+// once and never copied. A large table's fill therefore allocates its
+// slot storage once, plus the first segment's growth, and holds at
+// most one partly used chunk of slack. A table with chunks reaches
+// every slot through the chunk directory and a table without through
+// its two arrays, so the slot accessor branches on the table's size,
+// not the slot. (A migration to fewer buckets keeps every slot; erased
+// slots refill first.)
 //
 // The bucket is always hash % bucket_count. RQ7's "low-mixing
 // container", which drops low-order hash bits before the modulo, is a
@@ -79,6 +86,16 @@ const initialBuckets = 13
 // int32 indices, and -1 ends a chain.
 const maxEntries = math.MaxInt32
 
+// chunkShift and chunkSlots split the slot storage: slots below
+// chunkSlots (S) live in the first segment, the rest in S-slot chunks.
+// S is a power of two so a chunk slot is a shift and a mask away, and
+// it exceeds the table-hot workload's tables (about 1 Ki entries), so
+// cache-resident tables never use the chunk directory.
+const (
+	chunkShift = 11
+	chunkSlots = 1 << chunkShift
+)
+
 // entry is one key/value pair. Its chain link lives in a parallel
 // array, so entry[int] stays 32 bytes and never straddles a cache line.
 type entry[V any] struct {
@@ -87,13 +104,22 @@ type entry[V any] struct {
 	val  V
 }
 
+// chunk holds chunkSlots consecutive slots: their entries and their
+// links. A chunk is allocated once and never copied.
+type chunk[V any] struct {
+	ents  [chunkSlots]entry[V]
+	links [chunkSlots]int32
+}
+
 // Table is the one chained-bucket table behind all four container
-// kinds (multi selects the multimap/multiset semantics), stored flat: ents holds
-// every entry, links[i] is the slot after ents[i] in its chain (or, for
-// an erased slot, the next free one), and heads maps each bucket to
-// its first slot. -1 ends a chain and marks an empty bucket. Inserts
-// append at the chain tail and rehashes relink in old-bucket order, so
-// every chain keeps insertion order.
+// kinds (multi selects the multimap/multiset semantics), stored flat:
+// slot i holds an entry and a link, the slot after it in its chain (or,
+// for an erased slot, the next free one), both reached through at(i),
+// and heads maps each bucket to its first slot. Slots below chunkSlots
+// are ents[i] and links[i], which chunks[0] backs once they reach
+// chunkSlots; later slots live in later chunks. -1 ends a chain and
+// marks an empty bucket. Inserts append at the chain tail and rehashes
+// relink in old-bucket order, so every chain keeps insertion order.
 //
 // During a live migration (rehashInto) the table holds two head arrays
 // over the same entries: `heads` indexed by the new hash function, and
@@ -107,7 +133,7 @@ type entry[V any] struct {
 // when the migration began, storing each entry's hash under the new
 // function. Relinking then walks old buckets as before but reuses the
 // hash already in place below the cursor, so most entries are hashed
-// in a sequential sweep over the entry array and the key bytes instead
+// in a sequential sweep over the slots and the key bytes instead
 // of a bucket-order random walk. A retired entry therefore holds its
 // new hash below the cursor and its old one at or above it; the walks
 // over `old` compare against the hash the slot holds, and the
@@ -117,21 +143,22 @@ type entry[V any] struct {
 // A Table is not safe for concurrent use; internal/shard stripes many
 // of them behind locks.
 type Table[V any] struct {
-	hash  hashes.Func
-	heads []int32
-	ents  []entry[V]
-	links []int32
-	free  int32 // first erased slot, -1 when none
-	size  int
-	multi bool
-	obs   Observer
+	hash   hashes.Func
+	heads  []int32
+	ents   []entry[V] // slots below chunkSlots
+	links  []int32
+	chunks []*chunk[V] // chunks[c] holds slots chunkSlots·c on; chunks[0] backs ents and links
+	slots  int32       // slots handed out, erased ones included
+	free   int32       // first erased slot, -1 when none
+	size   int
+	obs    Observer
 
 	// Migration state: nil/empty when no migration is in progress.
 	// Slots below hashPos hold their hash under the new function;
 	// hashEnd is the slot count when the migration began, so every
 	// retired entry lies below it. Both are slot indices, int32 like
 	// links and free, which also keeps a Table[int] within the
-	// 176-byte allocation size class.
+	// 192-byte allocation size class.
 	oldHash  hashes.Func
 	old      []int32
 	drainPos int
@@ -143,6 +170,7 @@ type Table[V any] struct {
 	// entry points recompute instead of trusting the
 	// caller's value.
 	swapped bool
+	multi   bool
 }
 
 // NewTable returns an empty table over hash; multi keeps duplicate
@@ -182,48 +210,79 @@ func slot(n int) int32 {
 	return int32(n)
 }
 
+// at returns slot i's entry and chain link. A table without chunks
+// indexes its first segment, one with chunks the chunk directory for
+// every slot, so the branch follows the table's size, not the slot,
+// and a chain walk never mispredicts it. Chain walks take the entry
+// and the link from one call.
+func (t *Table[V]) at(i int32) (*entry[V], *int32) {
+	if t.chunks == nil {
+		return &t.ents[i], &t.links[i]
+	}
+	c := t.chunks[i>>chunkShift]
+	return &c.ents[i&(chunkSlots-1)], &c.links[i&(chunkSlots-1)]
+}
+
+// link returns slot i's chain link.
+func (t *Table[V]) link(i int32) *int32 {
+	if t.chunks == nil {
+		return &t.links[i]
+	}
+	return &t.chunks[i>>chunkShift].links[i&(chunkSlots-1)]
+}
+
 // alloc stores e in an unlinked slot, reusing erased slots first, and
-// returns the slot.
+// returns the slot. A new slot below chunkSlots extends the first
+// segment; from chunkSlots up, a slot that starts a chunk appends one
+// unless Clear kept it.
 func (t *Table[V]) alloc(e entry[V]) int32 {
-	if i := t.free; i >= 0 {
-		t.free = t.links[i]
-		t.ents[i] = e
-		t.links[i] = -1
-		return i
+	i := t.free
+	if i >= 0 {
+		t.free = *t.link(i)
+	} else {
+		i = slot(int(t.slots))
+		t.slots++
+		if i < chunkSlots {
+			if len(t.ents) == cap(t.ents) {
+				t.growFirst()
+			}
+			t.ents, t.links = t.ents[:i+1], t.links[:i+1]
+		} else if int(i>>chunkShift) == len(t.chunks) {
+			t.chunks = append(t.chunks, new(chunk[V]))
+		}
 	}
-	i := slot(len(t.ents))
-	if len(t.ents) == cap(t.ents) {
-		t.growSlots()
-	}
-	t.ents = append(t.ents, e)
-	t.links = append(t.links, -1)
+	ent, link := t.at(i)
+	*ent, *link = e, -1
 	return i
 }
 
-// growSlots reallocates the full entry and link arrays together, with
-// room for len(heads)+1 slots: put allocates a slot before its load
-// check, so that is the most the table holds before its next rehash.
-// make and copy, not append, whose growth would round the capacity up
-// past that bound.
-//
-// The new capacity always exceeds the old, even after a migration
-// sized the buckets below the slot count: alloc grows the arrays only
-// when no erased slot is left, so their length is the table's size,
-// and put keeps the size within len(heads).
-func (t *Table[V]) growSlots() {
-	n := min(len(t.heads)+1, maxEntries)
-	ents := make([]entry[V], len(t.ents), n)
+// growFirst reallocates the full first segment's entry and link arrays
+// together, with room for len(heads)+1 slots, capped at chunkSlots:
+// put allocates a slot before its load check, so that is the most the
+// table holds before its next rehash. The arrays are full only when no
+// slot is free, so they hold the table's size, which put keeps within
+// len(heads): the new capacity exceeds the old. The growth to
+// chunkSlots allocates chunk 0, whose arrays the segment then uses.
+func (t *Table[V]) growFirst() {
+	var ents []entry[V]
+	var links []int32
+	if n := len(t.heads) + 1; n < chunkSlots {
+		ents, links = make([]entry[V], n), make([]int32, n)
+	} else {
+		c := new(chunk[V])
+		t.chunks = append(t.chunks, c)
+		ents, links = c.ents[:], c.links[:]
+	}
 	copy(ents, t.ents)
-	links := make([]int32, len(t.links), n)
 	copy(links, t.links)
-	t.ents, t.links = ents, links
+	t.ents, t.links = ents[:len(t.ents)], links[:len(t.links)]
 }
 
 // release zeroes slot i, so it pins no key or value, and pushes it on
 // the free list. The caller has already unlinked it.
 func (t *Table[V]) release(i int32) {
-	t.ents[i] = entry[V]{}
-	t.links[i] = t.free
+	e, link := t.at(i)
+	*e, *link = entry[V]{}, t.free
 	t.free = i
 }
 
@@ -232,11 +291,13 @@ func (t *Table[V]) release(i int32) {
 // entries examined.
 func (t *Table[V]) find(head int32, h uint64, key string) (int32, int) {
 	n := 0
-	for i := head; i >= 0; i = t.links[i] {
+	for i := head; i >= 0; {
+		e, link := t.at(i)
 		n++
-		if e := &t.ents[i]; e.hash == h && e.key == key {
+		if e.hash == h && e.key == key {
 			return i, n
 		}
+		i = *link
 	}
 	return -1, n
 }
@@ -256,11 +317,13 @@ func (t *Table[V]) retiredHash(i int32, h, oh uint64) uint64 {
 // while migrating.
 func (t *Table[V]) findOld(h uint64, key string, probes int) (int32, int) {
 	head, oh := t.oldHead(key)
-	for i := *head; i >= 0; i = t.links[i] {
+	for i := *head; i >= 0; {
+		e, link := t.at(i)
 		probes++
-		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+		if e.hash == t.retiredHash(i, h, oh) && e.key == key {
 			return i, probes
 		}
+		i = *link
 	}
 	return -1, probes
 }
@@ -269,13 +332,13 @@ func (t *Table[V]) findOld(h uint64, key string, probes int) (int32, int) {
 // returns the chain's previous length.
 func (t *Table[V]) linkTail(head *int32, i int32) int {
 	last, n := int32(-1), 0
-	for j := *head; j >= 0; j = t.links[j] {
+	for j := *head; j >= 0; j = *t.link(j) {
 		last, n = j, n+1
 	}
 	if last < 0 {
 		*head = i
 	} else {
-		t.links[last] = i
+		*t.link(last) = i
 	}
 	return n
 }
@@ -296,7 +359,8 @@ func (t *Table[V]) put(h uint64, key string, val V) bool {
 			i, probes = t.findOld(h, key, probes)
 		}
 		if i >= 0 {
-			t.ents[i].val = val
+			e, _ := t.at(i)
+			e.val = val
 			if t.obs != nil {
 				t.obs.Put(key, probes, 0)
 			}
@@ -331,21 +395,24 @@ func (t *Table[V]) get(h uint64, key string) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	return t.ents[i].val, true
+	e, _ := t.at(i)
+	return e.val, true
 }
 
 // gather counts the entries for key, stored under hash h, in the chain
 // starting at slot head, appending their values to *out when out is
 // not nil. It returns the matches and the entries examined.
 func (t *Table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, probes int) {
-	for i := head; i >= 0; i = t.links[i] {
+	for i := head; i >= 0; {
+		e, link := t.at(i)
 		probes++
-		if e := &t.ents[i]; e.hash == h && e.key == key {
+		if e.hash == h && e.key == key {
 			matches++
 			if out != nil {
 				*out = append(*out, e.val)
 			}
 		}
+		i = *link
 	}
 	return matches, probes
 }
@@ -354,14 +421,16 @@ func (t *Table[V]) gather(head int32, h uint64, key string, out *[]V) (matches, 
 // hash is h. Only valid while migrating.
 func (t *Table[V]) gatherOld(h uint64, key string, out *[]V) (matches, probes int) {
 	head, oh := t.oldHead(key)
-	for i := *head; i >= 0; i = t.links[i] {
+	for i := *head; i >= 0; {
+		e, link := t.at(i)
 		probes++
-		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+		if e.hash == t.retiredHash(i, h, oh) && e.key == key {
 			matches++
 			if out != nil {
 				*out = append(*out, e.val)
 			}
 		}
+		i = *link
 	}
 	return matches, probes
 }
@@ -396,13 +465,14 @@ func (t *Table[V]) collect(h uint64, key string) []V {
 func (t *Table[V]) unlink(head *int32, h uint64, key string) (probes, removed, collDelta int) {
 	prev := int32(-1)
 	for i := *head; i >= 0; {
-		next := t.links[i]
+		e, link := t.at(i)
+		next := *link
 		probes++
-		if e := &t.ents[i]; e.hash == h && e.key == key {
+		if e.hash == h && e.key == key {
 			if prev < 0 {
 				*head = next
 			} else {
-				t.links[prev] = next
+				*t.link(prev) = next
 			}
 			t.release(i)
 			removed++
@@ -420,13 +490,14 @@ func (t *Table[V]) unlinkOld(h uint64, key string) (probes, removed, collDelta i
 	head, oh := t.oldHead(key)
 	prev := int32(-1)
 	for i := *head; i >= 0; {
-		next := t.links[i]
+		e, link := t.at(i)
+		next := *link
 		probes++
-		if e := &t.ents[i]; e.hash == t.retiredHash(i, h, oh) && e.key == key {
+		if e.hash == t.retiredHash(i, h, oh) && e.key == key {
 			if prev < 0 {
 				*head = next
 			} else {
-				t.links[prev] = next
+				*t.link(prev) = next
 			}
 			t.release(i)
 			removed++
@@ -467,14 +538,16 @@ func (t *Table[V]) rehash(n int) {
 	for b := len(old) - 1; b >= 0; b-- {
 		rev := int32(-1)
 		for i := old[b]; i >= 0; {
-			next := t.links[i]
-			t.links[i] = rev
+			link := t.link(i)
+			next := *link
+			*link = rev
 			rev, i = i, next
 		}
 		for i := rev; i >= 0; {
-			next := t.links[i]
-			nb := t.bucketOf(t.ents[i].hash)
-			t.links[i] = t.heads[nb]
+			e, link := t.at(i)
+			next := *link
+			nb := t.bucketOf(e.hash)
+			*link = t.heads[nb]
 			t.heads[nb] = i
 			i = next
 		}
@@ -515,7 +588,7 @@ func (t *Table[V]) rehashInto(newHash hashes.Func) {
 	t.oldHash = t.hash
 	t.old = t.heads
 	t.swapped = true
-	t.drainPos, t.hashPos, t.hashEnd = 0, 0, int32(len(t.ents))
+	t.drainPos, t.hashPos, t.hashEnd = 0, 0, t.slots
 	t.hash = newHash
 	t.heads = emptyBuckets(make([]int32, nextPrime(max(2*t.size+1, initialBuckets))))
 	if t.obs != nil {
@@ -540,7 +613,7 @@ func (t *Table[V]) drain(k int) bool {
 		return false
 	}
 	for end := int32(min(int(t.hashPos)+drainAhead*k, int(t.hashEnd))); t.hashPos < end; t.hashPos++ {
-		e := &t.ents[t.hashPos]
+		e, _ := t.at(t.hashPos)
 		e.hash = t.hash(e.key)
 	}
 	for ; k > 0 && t.drainPos < len(t.old); k-- {
@@ -548,9 +621,9 @@ func (t *Table[V]) drain(k int) bool {
 		t.old[t.drainPos] = -1
 		t.drainPos++
 		for i >= 0 {
-			next := t.links[i]
-			t.links[i] = -1
-			e := &t.ents[i]
+			e, link := t.at(i)
+			next := *link
+			*link = -1
 			if i >= t.hashPos {
 				e.hash = t.hash(e.key)
 			}
@@ -583,13 +656,16 @@ func (t *Table[V]) loadFactor() float64 {
 	return float64(t.size) / float64(len(t.heads))
 }
 
-// clear removes every entry, keeping the bucket array and the entry
-// storage's capacity. Any in-flight migration ends: the retired region
-// is dropped with the entries.
+// clear removes every entry, keeping the bucket array and the slot
+// storage: the first segment's capacity and every chunk. Any in-flight
+// migration ends: the retired region is dropped with the entries.
 func (t *Table[V]) clear() {
 	emptyBuckets(t.heads)
 	clear(t.ents) // so dropped keys and values pin no memory
-	t.ents, t.links, t.free = t.ents[:0], t.links[:0], -1
+	for _, c := range t.chunks {
+		clear(c.ents[:])
+	}
+	t.ents, t.links, t.slots, t.free = t.ents[:0], t.links[:0], 0, -1
 	t.old, t.oldHash = nil, nil
 	t.drainPos, t.hashPos, t.hashEnd = 0, 0, 0
 	t.size = 0
@@ -620,7 +696,7 @@ func (t *Table[V]) maxBucketLen() int {
 	for _, heads := range [2][]int32{t.heads, t.old} {
 		for _, head := range heads {
 			n := 0
-			for i := head; i >= 0; i = t.links[i] {
+			for i := head; i >= 0; i = *t.link(i) {
 				n++
 			}
 			m = max(m, n)
@@ -632,8 +708,9 @@ func (t *Table[V]) maxBucketLen() int {
 func (t *Table[V]) forEach(f func(key string, val V)) {
 	for _, heads := range [2][]int32{t.heads, t.old} {
 		for _, head := range heads {
-			for i := head; i >= 0; i = t.links[i] {
-				f(t.ents[i].key, t.ents[i].val)
+			for i := head; i >= 0; i = *t.link(i) {
+				e, _ := t.at(i)
+				f(e.key, e.val)
 			}
 		}
 	}

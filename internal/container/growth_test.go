@@ -1,34 +1,12 @@
 package container
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/sepe-go/sepe/internal/hashes"
 )
-
-// putTracked puts keys into tab, calling between after each put, and
-// returns how many puts reallocated the slot arrays and how many
-// rehashed the buckets. It fails t when a reallocation does not size
-// both arrays to the bucket count the put started with, plus one.
-func putTracked(t *testing.T, tab *Table[int], keys []string, between func()) (reallocs, rehashes int) {
-	t.Helper()
-	for i, k := range keys {
-		buckets, slots := len(tab.heads), cap(tab.ents)
-		tab.put(tab.hash(k), k, i)
-		if cap(tab.ents) != slots {
-			reallocs++
-			if cap(tab.ents) != buckets+1 || cap(tab.links) != buckets+1 {
-				t.Fatalf("put %d over %d buckets grew the slot arrays from %d to %d entries and %d links, want %d each",
-					i, buckets, slots, cap(tab.ents), cap(tab.links), buckets+1)
-			}
-		}
-		if len(tab.heads) != buckets {
-			rehashes++
-		}
-		between()
-	}
-	return reallocs, rehashes
-}
 
 func migKeys(from, to int) []string {
 	keys := make([]string, 0, to-from)
@@ -38,16 +16,123 @@ func migKeys(from, to int) []string {
 	return keys
 }
 
-// TestFillReallocatesOncePerRehash pins the slot-array growth policy:
-// a fill reallocates the entry and link arrays at most once more than
-// it rehashes, each time to the most slots the table can hold before
-// its next rehash.
-func TestFillReallocatesOncePerRehash(t *testing.T) {
-	for _, n := range []int{1 << 8, 1 << 12, 1 << 16} {
+// slotBytes is the size of one slot of a Table[int]: its entry and its
+// link.
+var slotBytes = uint64(reflect.TypeOf(entry[int]{}).Size()) + 4
+
+// growthLog tallies what a fill allocated, as seen from the table
+// between puts: the bytes of every first-segment array, head array and
+// chunk directory it allocated, and every chunk it appended.
+type growthLog struct {
+	firstBytes, headBytes, dirBytes uint64
+	chunks                          []*chunk[int]
+}
+
+// put puts key into tab and logs any allocation the put made. It fails
+// t when a first-segment growth does not size both arrays to the
+// bucket count the put started with, plus one, capped at chunkSlots,
+// and returns whether the first segment grew and whether the put
+// rehashed.
+func (g *growthLog) put(t *testing.T, tab *Table[int], key string, val int) (grew, rehashed bool) {
+	t.Helper()
+	buckets, first, dir := len(tab.heads), cap(tab.ents), cap(tab.chunks)
+	tab.put(tab.hash(key), key, val)
+	if grew = cap(tab.ents) != first; grew {
+		if want := min(buckets+1, chunkSlots); cap(tab.ents) != want || cap(tab.links) != want {
+			t.Fatalf("put %d over %d buckets grew the first segment from %d to %d entries and %d links, want %d each",
+				val, buckets, first, cap(tab.ents), cap(tab.links), want)
+		}
+		if cap(tab.ents) < chunkSlots { // the growth to chunkSlots takes chunk 0
+			g.firstBytes += uint64(cap(tab.ents)) * slotBytes
+		}
+	}
+	if rehashed = len(tab.heads) != buckets; rehashed {
+		g.headBytes += 4 * uint64(len(tab.heads))
+	}
+	if cap(tab.chunks) != dir {
+		g.dirBytes += 8 * uint64(cap(tab.chunks))
+	}
+	g.chunks = append(g.chunks, tab.chunks[len(g.chunks):]...)
+	return grew, rehashed
+}
+
+// maxFirstGrowth bounds the slots of every first-segment array a fill
+// allocates below chunkSlots (the growth to chunkSlots takes chunk 0):
+// each growth at least doubles the bucket count, so the capacities sum
+// to under twice the last plus one per growth.
+const maxFirstGrowth = 2*chunkSlots + 32
+
+// TestFillCopiesNoChunkSlot pins the slot storage's growth policy on
+// fills of 2⁸ to 2²⁰ entries: a chunk, once appended, is the one the
+// table holds at the end (no slot at or above chunkSlots is copied),
+// the first segment's growth stays under maxFirstGrowth slots whatever
+// the fill's size, and the bytes the fill allocates are at most its
+// chunks, that bound, its head arrays and its chunk directory. The
+// arrays below 32 KiB may round up to their size class, so the bound
+// adds an eighth of all but the chunks and 4 KiB. A fill that copied
+// every slot on growth allocated about twice its final slot storage.
+func TestFillCopiesNoChunkSlot(t *testing.T) {
+	for _, n := range []int{1 << 8, 1 << 12, 1 << 16, 1 << 20} {
+		keys := migKeys(0, n)
+		g := growthLog{chunks: make([]*chunk[int], 0, n/chunkSlots+1)}
 		tab := NewTable[int](hashes.STL, false)
-		reallocs, rehashes := putTracked(t, tab, migKeys(0, n), func() {})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, k := range keys {
+			g.put(t, tab, k, i)
+		}
+		runtime.ReadMemStats(&after)
+		if tab.size != n || cap(tab.ents) > chunkSlots {
+			t.Fatalf("%d entries: size %d, first segment %d slots", n, tab.size, cap(tab.ents))
+		}
+		if len(g.chunks) != len(tab.chunks) {
+			t.Fatalf("%d entries: logged %d chunks, the table holds %d", n, len(g.chunks), len(tab.chunks))
+		}
+		for c, ch := range g.chunks {
+			if tab.chunks[c] != ch {
+				t.Fatalf("%d entries: chunk %d was replaced after it was appended", n, c)
+			}
+		}
+		if g.firstBytes > maxFirstGrowth*slotBytes {
+			t.Errorf("%d entries: the first segment's arrays took %d bytes, want at most %d", n, g.firstBytes, maxFirstGrowth*slotBytes)
+		}
+		chunkBytes := uint64(len(tab.chunks)) * uint64(reflect.TypeOf(chunk[int]{}).Size())
+		small := maxFirstGrowth*slotBytes + g.headBytes + g.dirBytes
+		allocated, bound := after.TotalAlloc-before.TotalAlloc, chunkBytes+small+small/8+4096
+		t.Logf("%d entries: allocated %d bytes, %d in chunks, %d in first-segment growth, %d in heads",
+			n, allocated, chunkBytes, g.firstBytes, g.headBytes)
+		if allocated > bound {
+			t.Errorf("%d entries: the fill allocated %d bytes, want at most %d: %d in chunks, %d in heads, %d in the chunk directory",
+				n, allocated, bound, chunkBytes, g.headBytes, g.dirBytes)
+		}
+	}
+}
+
+// TestFirstSegmentGrowsOncePerRehash pins the first segment's growth
+// below chunkSlots: it reallocates its entry and link arrays at most
+// once more than the fill rehashes, each time to the bucket count plus
+// one (capped at chunkSlots), the most slots a table holds before its
+// next rehash. Past chunkSlots it never grows again.
+func TestFirstSegmentGrowsOncePerRehash(t *testing.T) {
+	for _, n := range []int{1 << 8, chunkSlots, 4 * chunkSlots} {
+		tab := NewTable[int](hashes.STL, false)
+		var g growthLog
+		reallocs, rehashes := 0, 0
+		for i, k := range migKeys(0, n) {
+			grew, rehashed := g.put(t, tab, k, i)
+			if grew {
+				if tab.slots > chunkSlots {
+					t.Fatalf("%d entries: the first segment grew at slot %d, past %d", n, tab.slots, chunkSlots)
+				}
+				reallocs++
+			}
+			if rehashed && tab.slots <= chunkSlots {
+				rehashes++
+			}
+		}
 		if reallocs > rehashes+1 {
-			t.Errorf("%d entries: %d slot reallocations for %d rehashes, want at most %d", n, reallocs, rehashes, rehashes+1)
+			t.Errorf("%d entries: %d first-segment reallocations for %d rehashes below %d slots, want at most %d",
+				n, reallocs, rehashes, chunkSlots, rehashes+1)
 		}
 		if tab.size != n {
 			t.Fatalf("%d entries: size %d after the fill", n, tab.size)
@@ -55,56 +140,34 @@ func TestFillReallocatesOncePerRehash(t *testing.T) {
 	}
 }
 
-// TestReservedFillAllocsIndependentOfSize checks that a table reserved
-// for n entries fills with the same number of allocations for every n:
-// its head arrays and one entry and one link array.
-func TestReservedFillAllocsIndependentOfSize(t *testing.T) {
-	var allocs []float64
-	sizes := []int{1 << 8, 1 << 12, 1 << 16}
-	for _, n := range sizes {
-		keys := migKeys(0, n)
-		allocs = append(allocs, testing.AllocsPerRun(3, func() {
-			tab := NewTable[int](hashes.STL, false)
-			tab.Reserve(n)
-			for i, k := range keys {
-				tab.put(tab.hash(k), k, i)
-			}
-		}))
-	}
-	for i, n := range sizes {
-		if allocs[i] != allocs[0] {
-			t.Errorf("reserved fill of %d entries allocates %.0f times, of %d entries %.0f; want the same", sizes[0], allocs[0], n, allocs[i])
-		}
-	}
-}
-
-// TestSlotGrowthAfterShrinkingMigration grows the slot arrays while a
+// TestSlotGrowthAfterShrinkingMigration takes new slots while a
 // migration is in flight whose bucket array is smaller than the slot
-// count: the table is filled, mostly erased and migrated, then filled
-// past its slot capacity with a migration step after each put. Every
-// growth must still size the arrays to the live bucket count plus one,
-// past the old capacity, and keep every entry.
+// count: the table fills its first segment, is mostly erased and
+// migrated, then filled with a migration step after each put until it
+// crosses chunkSlots into the chunks while the migration still runs.
+// Every entry must survive.
 func TestSlotGrowthAfterShrinkingMigration(t *testing.T) {
 	tab := NewTable[int](hashes.STL, false)
-	putTracked(t, tab, migKeys(0, 4096), func() {})
-	for _, k := range migKeys(64, 4096) {
+	var g growthLog
+	for i, k := range migKeys(0, chunkSlots) {
+		g.put(t, tab, k, i)
+	}
+	for _, k := range migKeys(64, chunkSlots) {
 		tab.del(tab.hash(k), k)
 	}
 	tab.rehashInto(hashes.FNV)
-	if len(tab.heads) >= len(tab.ents) {
-		t.Fatalf("migration sized %d buckets for %d slots, want fewer", len(tab.heads), len(tab.ents))
+	if len(tab.heads) >= int(tab.slots) {
+		t.Fatalf("migration sized %d buckets for %d slots, want fewer", len(tab.heads), tab.slots)
 	}
-	slots, grewMigrating := cap(tab.ents), false
-	added := migKeys(4096, 4096+2*slots)
-	putTracked(t, tab, added, func() {
-		if cap(tab.ents) != slots {
-			grewMigrating = grewMigrating || tab.migrating()
-			slots = cap(tab.ents)
-		}
+	chunkedMigrating := false
+	added := migKeys(chunkSlots, 3*chunkSlots)
+	for i, k := range added {
+		g.put(t, tab, k, i)
+		chunkedMigrating = chunkedMigrating || tab.migrating() && tab.slots > chunkSlots
 		tab.drain(1)
-	})
-	if !grewMigrating {
-		t.Fatal("the slot arrays never grew while the migration was in flight")
+	}
+	if !chunkedMigrating {
+		t.Fatal("the table never took a chunk slot while the migration was in flight")
 	}
 	for tab.drain(64) {
 	}

@@ -237,8 +237,8 @@ func TestRehashAllocsIndependentOfSize(t *testing.T) {
 }
 
 // TestErasedSlotsZeroedAndReused checks the free list: an erased slot
-// holds no key or value, and inserts fill erased slots before growing
-// the entry array.
+// holds no key or value, and inserts fill erased slots before taking
+// new ones.
 func TestErasedSlotsZeroedAndReused(t *testing.T) {
 	tab := NewTable[int](hashes.STL, false)
 	for i := 0; i < 100; i++ {
@@ -250,9 +250,9 @@ func TestErasedSlotsZeroedAndReused(t *testing.T) {
 		tab.del(tab.hash(k), k)
 	}
 	free := 0
-	for i := tab.free; i >= 0; i = tab.links[i] {
-		if tab.ents[i] != (entry[int]{}) {
-			t.Fatalf("erased slot %d holds %+v", i, tab.ents[i])
+	for i := tab.free; i >= 0; i = *tab.link(i) {
+		if e, _ := tab.at(i); *e != (entry[int]{}) {
+			t.Fatalf("erased slot %d holds %+v", i, *e)
 		}
 		free++
 	}
@@ -263,8 +263,8 @@ func TestErasedSlotsZeroedAndReused(t *testing.T) {
 		k := migKey(i)
 		tab.put(tab.hash(k), k, i+1)
 	}
-	if len(tab.ents) != 100 || tab.free != -1 {
-		t.Fatalf("re-inserts grew the entry array to %d (free head %d), want 100 slots reused", len(tab.ents), tab.free)
+	if tab.slots != 100 || tab.free != -1 {
+		t.Fatalf("re-inserts grew the slots to %d (free head %d), want 100 slots reused", tab.slots, tab.free)
 	}
 }
 

@@ -371,7 +371,7 @@ func (m *mirror[V]) stepToMixed() {
 // rehash cursor.
 func (m *mirror[V]) retiredSides() (below, above int) {
 	for _, head := range m.got.old {
-		for i := head; i >= 0; i = m.got.links[i] {
+		for i := head; i >= 0; i = *m.got.link(i) {
 			if i < m.got.hashPos {
 				below++
 			} else {

@@ -55,6 +55,13 @@ type lookup[V any] struct {
 	ok  bool
 }
 
+// tapeOp is one op of a tape: an opcode and an argument, which names
+// the key.
+type tapeOp struct {
+	code byte
+	arg  int
+}
+
 // runTape replays tape on a flat table and on the slice-per-bucket
 // oracle, failing on the first operation where any return value,
 // observer call or argument, Stats field, or ForEach/GetAll order
@@ -69,21 +76,39 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 		return
 	}
 	tape = tape[:min(len(tape), 8192)] // every op rechecks the whole table
+	var ops []tapeOp
+	for step := 0; 2*step+2 < len(tape); step++ {
+		ops = append(ops, tapeOp{tape[1+2*step], int(tape[2+2*step])})
+	}
+	runOps(t, kind, tape[0], ops, tapeKeys, 1, multi, val, nil)
+}
+
+// runOps replays ops as runTape does, over keys: hashSel is the tape's
+// first byte, and an op's argument names keys[arg%len(keys)]. Return
+// values, observer calls, the migration state and the load factor are
+// checked after every op; Stats and ForEach order after every
+// fullEvery-th op and after the last. A non-nil before sees the flat
+// table ahead of each op.
+func runOps[V comparable](t *testing.T, kind string, hashSel byte, ops []tapeOp, keys []string, fullEvery int, multi bool, val func(int) V, before func(tapeOp, *Table[V])) {
 	tapeHash := func(i int) hashes.Func {
 		h := tapeHashes[i%len(tapeHashes)]
-		if tape[0]&0x80 == 0 {
+		if hashSel&0x80 == 0 {
 			return h
 		}
 		return func(k string) uint64 { return h(k) >> 8 }
 	}
-	hash := tapeHash(int(tape[0]))
+	hash := tapeHash(int(hashSel))
 	got, want := NewTable[V](hash, multi), newRefTable[V](hash, multi)
 	var gotLog, wantLog eventLog
 	got.obs, want.obs = &gotLog, &wantLog
+	var gEach, wEach []kv[V]
 
-	for step := 0; 2*step+2 < len(tape); step++ {
-		op, arg := tape[1+2*step], int(tape[2+2*step])
-		key := tapeKeys[arg%len(tapeKeys)]
+	for step, o := range ops {
+		if before != nil {
+			before(o, got)
+		}
+		op, arg := o.code, o.arg
+		key := keys[arg%len(keys)]
 		var desc string
 		var g, w any
 		switch op % 16 {
@@ -136,13 +161,16 @@ func runTape[V comparable](t *testing.T, kind string, tape []byte, multi bool, v
 			t.Fatalf("%s step %d %s: observer calls\n got %+v\nwant %+v", kind, step, desc, gotLog, wantLog)
 		}
 		gotLog, wantLog = gotLog[:0], wantLog[:0]
-		if gs, ws := got.Stats(), refStats(want); gs != ws {
-			t.Fatalf("%s step %d %s: Stats = %+v, oracle %+v", kind, step, desc, gs, ws)
-		}
 		if got.migrating() != want.migrating() || got.loadFactor() != want.loadFactor() {
 			t.Fatalf("%s step %d %s: migrating/load factor differ", kind, step, desc)
 		}
-		var gEach, wEach []kv[V]
+		if (step+1)%fullEvery != 0 && step+1 < len(ops) {
+			continue
+		}
+		if gs, ws := got.Stats(), refStats(want); gs != ws {
+			t.Fatalf("%s step %d %s: Stats = %+v, oracle %+v", kind, step, desc, gs, ws)
+		}
+		gEach, wEach = gEach[:0], wEach[:0]
 		got.forEach(func(k string, v V) { gEach = append(gEach, kv[V]{k, v}) })
 		want.forEach(func(k string, v V) { wEach = append(wEach, kv[V]{k, v}) })
 		if !slices.Equal(gEach, wEach) {
@@ -257,4 +285,128 @@ func shrinkGrowTape(from, to byte) []byte {
 		op(15, 1)  // MigrateStep 2
 	}
 	return tape
+}
+
+// chunkKeys is the key space of chunkOps: enough distinct keys to fill
+// a table past two chunks and keep inserting new ones.
+var chunkKeys = func() []string {
+	ks := make([]string, 4*chunkSlots)
+	for i := range ks {
+		ks[i] = fmt.Sprintf("c%05d", i)
+	}
+	return ks
+}()
+
+// chunkOps is an op list over chunkKeys that drives a table across the
+// first-segment/chunk boundary. It fills 2.5·chunkSlots keys, with
+// lookups of present and absent ones; erases the keys whose slots
+// straddle chunkSlots and puts a quarter of them back, so the free list
+// hands out slots on both sides of it; then migrates to hash index to
+// with the slot count, and so hashEnd, inside the partly used chunk of
+// slots 2·chunkSlots to 3·chunkSlots. Between migration steps it
+// inserts new keys until the next chunk opens, erases and re-puts old
+// ones, swaps to hash index then mid-migration, clears the table
+// mid-migration, refills it past chunkSlots into the chunks Clear
+// kept, and migrates to the end.
+func chunkOps(to, then int) []tapeOp {
+	var ops []tapeOp
+	op := func(code byte, arg int) { ops = append(ops, tapeOp{code, arg}) }
+	fill := 2*chunkSlots + chunkSlots/2
+	for i := range fill {
+		op(0, i)
+		if i%16 == 0 {
+			op(6, i/2)      // Get, present
+			op(10, fill+i)  // Count, absent
+			op(11, i/3)     // GetAll
+			op(13, 16+i%64) // ForEach
+		}
+	}
+	for i := chunkSlots - 256; i < chunkSlots+256; i++ {
+		op(8, i)
+	}
+	for i := chunkSlots + 255; i >= chunkSlots-256; i -= 4 {
+		op(0, i)
+	}
+	op(14, to)
+	next := fill
+	for i := range 1600 {
+		op(15, 0) // MigrateStep 1
+		op(0, next)
+		next++
+		op(6, 3*i%fill)
+		op(8, 5*i%fill)
+		op(0, 5*i%fill)
+	}
+	op(14, then)
+	for i := range 200 {
+		op(15, 3) // MigrateStep 4
+		op(6, 7*i%next)
+		op(8, 11*i%next)
+	}
+	op(13, 0) // Clear
+	for i := range chunkSlots + chunkSlots/2 {
+		op(0, i)
+		if i%8 == 0 {
+			op(8, i/2)
+		}
+	}
+	op(14, to)
+	for i := range 2000 {
+		op(15, 3)
+		op(6, i)
+	}
+	return ops
+}
+
+// chunkReach records which states of chunkOps a table passed through.
+type chunkReach struct {
+	maxSlots       int32
+	freeBothSides  bool // erased slots below and at or above chunkSlots
+	hashEndInChunk bool // a migration began inside a partly used chunk
+	clearMigrating bool // Clear ran while a migration was in flight
+}
+
+// chunkProbe returns a before hook for runOps that records into r.
+func chunkProbe[V any](r *chunkReach) func(tapeOp, *Table[V]) {
+	return func(o tapeOp, tab *Table[V]) {
+		r.maxSlots = max(r.maxSlots, tab.slots)
+		switch {
+		case o.code == 14 && !tab.migrating():
+			r.hashEndInChunk = r.hashEndInChunk ||
+				(tab.slots > chunkSlots && tab.slots%chunkSlots != 0)
+			below, above := false, false
+			for i := tab.free; i >= 0; i = *tab.link(i) {
+				below, above = below || i < chunkSlots, above || i >= chunkSlots
+			}
+			r.freeBothSides = r.freeBothSides || below && above
+		case o.code == 13 && o.arg < 16:
+			r.clearMigrating = r.clearMigrating || tab.migrating()
+		}
+	}
+}
+
+// TestTableOpsAcrossChunks replays chunkOps on every container kind
+// against the refTable oracle, checked op by op as FuzzTableOps checks
+// its tapes, over tables too large for a fuzz tape: past 3·chunkSlots
+// slots, with erasures across the first chunk boundary, a migration
+// whose slot count ends inside a partly used chunk, and Clear
+// mid-migration.
+func TestTableOpsAcrossChunks(t *testing.T) {
+	for _, hs := range [][3]byte{{0, 1, 3}, {1, 0, 2}, {0x83, 0, 1}} {
+		t.Run(fmt.Sprintf("hashes%v", hs), func(t *testing.T) {
+			ops := chunkOps(int(hs[1]), int(hs[2]))
+			intVal := func(i int) int { return i }
+			noVal := func(int) struct{} { return struct{}{} }
+			var reach [4]chunkReach
+			runOps(t, "Map", hs[0], ops, chunkKeys, 61, false, intVal, chunkProbe[int](&reach[0]))
+			runOps(t, "Set", hs[0], ops, chunkKeys, 61, false, noVal, chunkProbe[struct{}](&reach[1]))
+			runOps(t, "MultiMap", hs[0], ops, chunkKeys, 61, true, intVal, chunkProbe[int](&reach[2]))
+			runOps(t, "MultiSet", hs[0], ops, chunkKeys, 61, true, noVal, chunkProbe[struct{}](&reach[3]))
+			for k, r := range reach {
+				if r.maxSlots <= 3*chunkSlots || !r.freeBothSides || !r.hashEndInChunk || !r.clearMigrating {
+					t.Errorf("kind %d reached %+v, want over %d slots and every flag set", k, r, 3*chunkSlots)
+				}
+			}
+		})
+	}
 }
