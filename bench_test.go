@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/sepe-go/sepe"
 	"github.com/sepe-go/sepe/internal/bench"
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/core"
@@ -157,6 +158,51 @@ func BenchmarkFig16Synthesis(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSynthesizeRQ times the front end and synthesis over the
+// paper's eight RQ formats: ParseRegex alone, then Synthesize with Pext
+// and with every family (each certificate included). One op covers all
+// eight formats.
+func BenchmarkSynthesizeRQ(b *testing.B) {
+	var formats []*sepe.Format
+	for _, t := range keys.All {
+		f, err := sepe.ParseRegex(t.Regex())
+		if err != nil {
+			b.Fatal(err)
+		}
+		formats = append(formats, f)
+	}
+	b.Run("ParseRegex", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, t := range keys.All {
+				if _, err := sepe.ParseRegex(t.Regex()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("Pext", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range formats {
+				if _, err := sepe.Synthesize(f, sepe.Pext); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("AllFamilies", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, f := range formats {
+				if _, err := sepe.SynthesizeAll(f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkFig17LowMixing sweeps the low-mixing container (RQ7).

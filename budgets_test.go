@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/sepe-go/sepe"
+	"github.com/sepe-go/sepe/internal/keys"
 )
 
 // The performance budgets that tier-1 tests enforce. Measured costs
@@ -374,5 +376,52 @@ func TestContainerFillMemoryBudget(t *testing.T) {
 		if ratio > 1.2 {
 			t.Errorf("%s: the fill allocated %.2fx the storage the map keeps, budget 1.2x", c.name, ratio)
 		}
+	}
+}
+
+// TestRegexLoweringAllocsFlat: lowering a repetition builds its form
+// once, so ParseRegex("[0-9]{N}") allocates the same number of times
+// for N = 16, 1024 and 16384. A lowering that copied the forms built so
+// far once per count made 32,884 allocations (4.2 GB) at 16384. The
+// counts are printed with -v.
+func TestRegexLoweringAllocsFlat(t *testing.T) {
+	var counts []float64
+	for _, n := range []int{16, 1024, 16384} {
+		expr := "[0-9]{" + strconv.Itoa(n) + "}"
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := sepe.ParseRegex(expr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("ParseRegex(%s): %.0f allocs", expr, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[1] != counts[0] || counts[2] != counts[0] {
+		t.Errorf("ParseRegex allocations grow with the repetition count: %v", counts)
+	}
+}
+
+// TestSynthesisAllocBudget gates what turning a key format into a
+// certified hash allocates: ParseRegex and Synthesize(Pext) over the
+// paper's eight RQ formats, certificate included. The budget is the
+// measured 1,145 allocations (go1.24) with 30% headroom; a lowering
+// that copied per repetition count and a certifier that indexed its
+// columns through a map made 2,831. The count is printed with -v.
+func TestSynthesisAllocBudget(t *testing.T) {
+	const budget = 1500
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, k := range keys.All {
+			f, err := sepe.ParseRegex(k.Regex())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sepe.Synthesize(f, sepe.Pext); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("ParseRegex+Synthesize(Pext) over %d RQ formats: %.0f allocs, budget %d", len(keys.All), allocs, budget)
+	if allocs > budget {
+		t.Errorf("synthesis over the RQ formats allocates %.0f times, budget %d", allocs, budget)
 	}
 }

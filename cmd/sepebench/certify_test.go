@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -9,7 +11,10 @@ import (
 // The RQ-corpus certification must stay clean (no certifier findings)
 // and must keep proving the three bijections the paper's formats
 // admit: Pext over SSN, CPF and IPv4 — the fixed-length formats with
-// at most 64 variable bits.
+// at most 64 variable bits. The regenerated report must also equal the
+// checked-in BENCH_certify.json byte for byte apart from its date, which
+// pins every certificate — ranks, dead bits, funnels, counterexample
+// keys and hashes — against changes to the synthesizer or certifier.
 func TestRunCertify(t *testing.T) {
 	var out strings.Builder
 	if err := runCertify(&out); err != nil {
@@ -35,6 +40,14 @@ func TestRunCertify(t *testing.T) {
 				t.Errorf("%s/%s: non-bijective linear plan without a counterexample", f.Key, c.Family)
 			}
 		}
+	}
+	checkedIn, err := os.ReadFile("../../BENCH_certify.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	date := regexp.MustCompile(`(?m)^  "date": "[^"]*",$`)
+	if got, want := date.ReplaceAllString(out.String(), ""), date.ReplaceAllString(string(checkedIn), ""); got != want {
+		t.Errorf("regenerated report differs from BENCH_certify.json; rerun %s", rep.Command)
 	}
 	for _, want := range []string{"SSN/Pext", "CPF/Pext", "IPv4/Pext"} {
 		if !bijective[want] {

@@ -24,6 +24,8 @@ func FuzzParseRegex(f *testing.F) {
 		`(a|b)?c*d+`,
 		`[0-9]{3}(\.[0-9]{3}){3}`,
 		`(a{1048576}){1048576}`, // length blowup: must be rejected, not OOM
+		`[0-9]{16384}`,          // the longest format: one form, built once
+		`((((((((a{0}){1048576}){1048576}){1048576}){1048576}){1048576}){1048576}){1048576}){1048576}b`, // empty bodies: no stepping through the counts
 		`(a|b)(c|d)(e|f)(g|h)(i|j)(k|l)(m|n)(o|p)(q|r)(s|t)`,
 		`\d{4}-\d{2}-\d{2}`,
 		`[`, `(`, `a{`, `a{2,1}`, `a**`, `|`, ``,

@@ -271,35 +271,40 @@ func provenanceOf(p *Plan, pat *pattern.Pattern) (*provenance, bool) {
 		}
 	}
 
-	pr := &provenance{tailStart: tailStart}
-	index := map[BitRef]int{}
-	colOf := func(r BitRef) int {
-		if i, ok := index[r]; ok {
-			return i
-		}
-		index[r] = len(pr.cols)
-		pr.cols = append(pr.cols, 0)
-		pr.refs = append(pr.refs, r)
-		pr.aesCovered = append(pr.aesCovered, false)
-		return len(pr.cols) - 1
-	}
-	// Register every variable bit of the guaranteed region first, in
-	// key order, so unread bits exist as zero columns (dead entropy).
+	// Every variable bit of the guaranteed region gets a column, in key
+	// order, so unread bits exist as zero columns (dead entropy); a
+	// variable plan leaves the bits from tailStart on to the byte tail.
 	limit := pat.MinLen
 	if length < limit {
 		limit = length
 	}
-	for pos := 0; pos < limit; pos++ {
+	colEnd := limit
+	if !p.Fixed && tailStart < colEnd {
+		colEnd = max(tailStart, 0)
+	}
+	nvar := 0
+	for pos := 0; pos < colEnd; pos++ {
+		nvar += bits.OnesCount8(pat.Bytes[pos].VarBits())
+	}
+	pr := &provenance{
+		tailStart:  tailStart,
+		cols:       make([]uint64, nvar),
+		refs:       make([]BitRef, 0, nvar),
+		aesCovered: make([]bool, nvar),
+	}
+	for pos := colEnd; pos < limit; pos++ {
+		pr.tailBits += bits.OnesCount8(pat.Bytes[pos].VarBits())
+	}
+	// col[8*pos+bit] is the column of key bit pos.bit: dense over the
+	// column region, and filled for its variable bits only.
+	col := make([]int32, 8*colEnd)
+	for pos := 0; pos < colEnd; pos++ {
 		vb := pat.Bytes[pos].VarBits()
 		for bit := 0; bit < 8; bit++ {
-			if vb&(1<<bit) == 0 {
-				continue
+			if vb&(1<<bit) != 0 {
+				col[8*pos+bit] = int32(len(pr.refs))
+				pr.refs = append(pr.refs, BitRef{Byte: pos, Bit: bit})
 			}
-			if pos >= tailStart && !p.Fixed {
-				pr.tailBits++
-				continue
-			}
-			colOf(BitRef{Byte: pos, Bit: bit})
 		}
 	}
 	aes := p.Family == Aes
@@ -309,19 +314,17 @@ func provenanceOf(p *Plan, pat *pattern.Pattern) (*provenance, bool) {
 		if l.Partial != 0 {
 			width = l.Partial
 		}
+		// The loads lie inside the modeled key (checked above), so a
+		// variable bit they read is below colEnd unless the tail owns it.
 		for b := 0; b < 8*width; b++ {
 			pos := l.Offset + b/8
-			if pos >= pat.MinLen {
-				continue // beyond the guaranteed region (or clamped pad)
+			if pos >= colEnd {
+				continue // beyond the guaranteed region, or tail-owned
 			}
 			if pat.Bytes[pos].VarBits()&(1<<(b%8)) == 0 {
 				continue // constant bit: contributes a constant, no column
 			}
-			r := BitRef{Byte: pos, Bit: b % 8}
-			if !p.Fixed && pos >= tailStart {
-				continue // tail-owned bit (registered above)
-			}
-			i := colOf(r)
+			i := col[8*pos+b%8]
 			if aes {
 				// Full words feed the 128-bit state unmasked; one AES
 				// round is modeled as full diffusion, so reaching the
@@ -344,13 +347,15 @@ func gf2(cols []uint64) (rank int, kernel []int) {
 	// mod-2 cancellation of repeated indices is the xor itself. (Index
 	// slices would grow multiplicatively along dense reduction chains —
 	// the structured provenance columns keep them short, but a seeded
-	// plan's post-mix columns are dense enough to blow up.)
+	// plan's post-mix columns are dense enough to blow up.) At most 64
+	// pivots exist, so their combinations share one backing array.
 	words := (len(cols) + 63) / 64
 	type pivot struct {
 		vec uint64
 		cmb []uint64
 	}
-	var pivots [64]*pivot
+	var pivots [64]pivot // cmb == nil: no pivot yet
+	backing := make([]uint64, min(len(cols), 64)*words)
 	cmb := make([]uint64, words)
 	for j, v := range cols {
 		for i := range cmb {
@@ -359,9 +364,10 @@ func gf2(cols []uint64) (rank int, kernel []int) {
 		cmb[j>>6] = 1 << uint(j&63)
 		for v != 0 {
 			pb := bits.Len64(v) - 1
-			pv := pivots[pb]
-			if pv == nil {
-				pivots[pb] = &pivot{vec: v, cmb: append([]uint64(nil), cmb...)}
+			pv := &pivots[pb]
+			if pv.cmb == nil {
+				pv.vec, pv.cmb = v, backing[rank*words:(rank+1)*words]
+				copy(pv.cmb, cmb)
 				rank++
 				break
 			}
@@ -406,7 +412,7 @@ func certifyLinear(c *Certificate, p *Plan, pat *pattern.Pattern, pr *provenance
 			c.DeadBits = append(c.DeadBits, pr.refs[i])
 		}
 	}
-	fan := make([]int, 64)
+	var fan [64]int
 	for _, v := range cols {
 		for v != 0 {
 			b := bits.TrailingZeros64(v)
@@ -564,7 +570,8 @@ func structuralFixed(p *Plan, pat *pattern.Pattern) []string {
 	// Double selection needs byte-position granularity because loads
 	// overlap: recompute the union and compare popcounts.
 	if p.Family == Pext && len(p.Loads) > 0 {
-		seen := make(map[int]byte, pat.MaxLen)
+		seen := make([]byte, pat.MaxLen)
+		var outside map[int]byte // bytes of loads reaching outside the key
 		total := 0
 		for i := range p.Loads {
 			l := &p.Loads[i]
@@ -574,10 +581,20 @@ func structuralFixed(p *Plan, pat *pattern.Pattern) []string {
 					continue
 				}
 				pos := l.Offset + j
-				if seen[pos]&mb != 0 {
+				var prev byte
+				if pos >= 0 && pos < len(seen) {
+					prev = seen[pos]
+					seen[pos] |= mb
+				} else {
+					if outside == nil {
+						outside = map[int]byte{}
+					}
+					prev = outside[pos]
+					outside[pos] |= mb
+				}
+				if prev&mb != 0 {
 					fs = append(fs, fmt.Sprintf("core: verify: bit of key byte %d extracted twice", pos))
 				}
-				seen[pos] |= mb
 				total += bits.OnesCount8(mb)
 			}
 		}

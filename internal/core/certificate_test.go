@@ -2,8 +2,12 @@ package core
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/sepe-go/sepe/internal/keys"
+	"github.com/sepe-go/sepe/internal/seed"
 )
 
 // requireCounterexample asserts the certificate carries a verified
@@ -216,5 +220,65 @@ func TestCertificateJSONRoundtrip(t *testing.T) {
 	}
 	if back.Counterexample == nil || back.Counterexample.Key1 != c.Counterexample.Key1 {
 		t.Fatal("counterexample lost in roundtrip")
+	}
+}
+
+// TestProvenanceMatchesReference: the dense-index provenanceOf yields
+// the map-based reference's columns, bit refs, tail count and AES
+// coverage on the RQ corpus × every family, seeded and unseeded, and on
+// the variable-length and short formats above.
+func TestProvenanceMatchesReference(t *testing.T) {
+	exprs := []string{`user-[0-9]{8,24}`, `[0-9]{16}`, `[0-9]{8}`, `[0-9]{4}`, `[a-z]{3,40}\.[0-9]{2,9}`}
+	for _, k := range keys.All {
+		exprs = append(exprs, k.Regex())
+	}
+	for _, expr := range exprs {
+		for _, fam := range Families {
+			for _, opts := range []Options{{}, {Seed: seed.FromUint64(29)}, {AllowShort: true}} {
+				p, err := BuildPlan(mustPattern(t, expr), fam, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gok := provenanceOf(p, p.Pattern)
+				want, wok := refProvenanceOf(p, p.Pattern)
+				if gok != wok {
+					t.Fatalf("%s/%v: ok %v, reference %v", expr, fam, gok, wok)
+				}
+				if !gok {
+					continue
+				}
+				if got.tailBits != want.tailBits || got.tailStart != want.tailStart ||
+					!slices.Equal(got.cols, want.cols) || !slices.Equal(got.refs, want.refs) ||
+					!slices.Equal(got.aesCovered, want.aesCovered) {
+					t.Fatalf("%s/%v seeded=%v: provenance %+v, reference %+v", expr, fam, opts.Seed != nil, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCertifyDoubleExtractionAnywhere: the double-selection finding
+// names every re-extracted key byte, including byte 0 and bytes of
+// loads that reach outside the key (tracked apart from the in-key
+// bytes).
+func TestCertifyDoubleExtractionAnywhere(t *testing.T) {
+	for _, c := range []struct {
+		offset int
+		want   []string
+	}{
+		{0, []string{"bit of key byte 0 extracted twice", "bit of key byte 7 extracted twice"}},
+		{20, []string{"load 2 [20,28) outside key", "bit of key byte 20 extracted twice", "bit of key byte 27 extracted twice"}},
+		{-8, []string{"load 2 [-8,0) outside key", "bit of key byte -8 extracted twice", "bit of key byte -1 extracted twice"}},
+	} {
+		p := mustPlan(t, `[0-9]{3}-[0-9]{2}-[0-9]{4}`, Pext)
+		dup := p.Loads[0]
+		dup.Offset = c.offset
+		p.Loads = append(p.Loads, dup, dup)
+		findings := strings.Join(Certify(p).Findings, "\n")
+		for _, want := range c.want {
+			if !strings.Contains(findings, want) {
+				t.Errorf("offset %d: no finding %q in\n%s", c.offset, want, findings)
+			}
+		}
 	}
 }

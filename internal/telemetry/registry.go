@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -96,7 +97,7 @@ func (r *Registry) NewContainer(name string) *ContainerMetrics {
 func (r *Registry) NewContainerShards(name string, n int) []*ContainerMetrics {
 	ms := make([]*ContainerMetrics, n)
 	for i := range ms {
-		ms[i] = NewContainerMetrics(fmt.Sprintf("%s.shard%d", name, i))
+		ms[i] = NewContainerMetrics(name + ".shard" + strconv.Itoa(i))
 	}
 	r.mu.Lock()
 	for _, m := range ms {
