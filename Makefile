@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check lint lint-diff race mutate certify flood traffic bench fuzz repro repro-quick examples golden serve-smoke clean
+.PHONY: all build test vet check lint lint-diff race mutate certify flood bench fuzz repro repro-quick examples golden serve-smoke clean
 
 # Pinned versions of the external analysis tools. The module has no
 # dependencies, so the usual blank-import tools.go pattern would break
@@ -95,15 +95,6 @@ certify:
 # more than 2 sigma from the oracle or mean overhead exceeds 5%.
 flood:
 	$(GO) run ./cmd/sepebench -flood > BENCH_flood.json
-
-# Fault-injecting production traffic simulator: phased multi-tenant
-# load (warm/steady/drift/flood/cooldown) against seeded adaptive
-# hashes. Fails if the drifted tenant does not recover through the
-# adaptive lifecycle or the flooded tenant's attack B-Coll strays from
-# a random oracle. TRAFFIC_OPS scales the run (CI uses a small smoke).
-TRAFFIC_OPS ?= 400000
-traffic:
-	@$(GO) run ./cmd/sepebench -traffic -traffic-ops $(TRAFFIC_OPS)
 
 test:
 	$(GO) test ./...

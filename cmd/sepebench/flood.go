@@ -24,14 +24,10 @@ import (
 // checked-in BENCH_flood.json is this report regenerated with
 //
 //	go run ./cmd/sepebench -flood > BENCH_flood.json
-const (
-	floodBuckets = 2053
-	floodTargets = 16
-	floodKeys    = 2048
-	floodBudget  = 4 << 20
-	floodTrials  = 24
-	floodSeeds   = 5
-)
+//
+// The table geometry and mining budget are internal/flood's shared
+// constants; floodSeeds is the number of seeded deployments per row.
+const floodSeeds = 5
 
 type floodReport struct {
 	Description string       `json:"description"`
@@ -217,19 +213,19 @@ func floodRowFor(t keys.Type, fam sepe.Family) (floodRow, error) {
 
 	var attack []string
 	if miner, err := flood.NewMiner(base.Func(), f.Matches, samples); err == nil {
-		attack = miner.MineBuckets(floodBuckets, floodTargets, floodKeys, floodBudget)
+		attack = miner.MineBuckets(flood.Buckets, flood.Targets, flood.Keys, flood.Budget)
 		row.Channel, row.AffineBits = "affine", miner.Bits()
 	}
 	if len(attack) < 256 {
-		attack = flood.MineBrute(base.Func(), gen.Next, floodBuckets, floodTargets, floodKeys/4, 1<<21)
+		attack = flood.MineBrute(base.Func(), gen.Next, flood.Buckets, flood.Targets, flood.Keys/4, 1<<21)
 		row.Channel, row.AffineBits = "brute", 0
 	}
 	row.AttackKeys = len(attack)
 	if len(attack) == 0 {
 		return row, fmt.Errorf("%s/%s: no attack keys mined", t.Name(), fam)
 	}
-	row.UnseededBColl = flood.BColl(flood.Hashes(base.Func(), attack), floodBuckets)
-	row.OracleMu, row.OracleSigma = flood.OracleBColl(len(attack), floodBuckets, floodTrials, 0xBADC0DE)
+	row.UnseededBColl = flood.BColl(flood.Hashes(base.Func(), attack), flood.Buckets)
+	row.OracleMu, row.OracleSigma = flood.OracleBColl(len(attack), flood.Buckets, flood.OracleTrials, 0xBADC0DE)
 	if row.OracleSigma < 1 {
 		row.OracleSigma = 1
 	}
@@ -241,7 +237,7 @@ func floodRowFor(t keys.Type, fam sepe.Family) (floodRow, error) {
 			return row, fmt.Errorf("%s/%s: seeded synthesize: %w", t.Name(), fam, err)
 		}
 		seeded = sh
-		row.SeededMeanBColl += float64(flood.BColl(flood.Hashes(sh.Func(), attack), floodBuckets))
+		row.SeededMeanBColl += float64(flood.BColl(flood.Hashes(sh.Func(), attack), flood.Buckets))
 	}
 	row.SeededMeanBColl /= floodSeeds
 	row.Z = (row.SeededMeanBColl - row.OracleMu) / row.OracleSigma
@@ -268,7 +264,7 @@ func runFlood(out io.Writer) error {
 	rep := floodReport{
 		Description: "Hash-flood resistance of keyed synthesis: per (RQ format, family), " +
 			"an attacker with full format knowledge mines in-format keys that crowd " +
-			fmt.Sprint(floodTargets) + " of " + fmt.Sprint(floodBuckets) + " buckets against the " +
+			fmt.Sprint(flood.Targets) + " of " + fmt.Sprint(flood.Buckets) + " buckets against the " +
 			"unseeded function (catastrophic B-Coll), then the same key set is replayed " +
 			"against independently seeded deployments and compared to a uniform random " +
 			"oracle. Overhead is the seeded-vs-unseeded cost of a container " +
@@ -277,8 +273,8 @@ func runFlood(out io.Writer) error {
 			"mix_ns records the stable register-level cost of the post-mix per hash call.",
 		Command: "go run ./cmd/sepebench -flood > BENCH_flood.json",
 		Date:    time.Now().Format("2006-01-02"),
-		Buckets: floodBuckets,
-		Targets: floodTargets,
+		Buckets: flood.Buckets,
+		Targets: flood.Targets,
 	}
 	rep.Summary.FloodDefeated = true
 	for _, t := range keys.All {

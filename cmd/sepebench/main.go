@@ -63,10 +63,6 @@ func main() {
 			"certify every family over the eight RQ key formats instead of running experiments: emit the JSON certificate report (BENCH_certify.json) and exit non-zero on any certifier finding")
 		floodExp = flag.Bool("flood", false,
 			"run the hash-flood resistance experiment instead of experiments: mine attack key sets against unseeded functions, replay them against seeded deployments, emit the JSON report (BENCH_flood.json) and exit non-zero if any seeded deployment strays >2 sigma from a random oracle")
-		traffic = flag.Bool("traffic", false,
-			"run the fault-injecting production traffic simulator instead of experiments: multi-tenant phased load with drift and flood injection against seeded adaptive hashes; exits non-zero if any tenant fails to recover")
-		trafficOps  = flag.Int("traffic-ops", 400000, "total simulated operations for -traffic")
-		trafficSeed = flag.Uint64("traffic-seed", 1, "PRNG seed for -traffic key streams and phase noise")
 	)
 	flag.Parse()
 
@@ -80,14 +76,6 @@ func main() {
 
 	if *floodExp {
 		if err := runFlood(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sepebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *traffic {
-		if err := runTraffic(os.Stdout, *trafficOps, *trafficSeed); err != nil {
 			fmt.Fprintln(os.Stderr, "sepebench:", err)
 			os.Exit(1)
 		}

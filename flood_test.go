@@ -9,18 +9,6 @@ import (
 	"github.com/sepe-go/sepe/internal/keys"
 )
 
-// Flood-attack parameters shared by the resistance tests. The table
-// geometry (2053 buckets, 16 target buckets, ~2048 keys) mirrors a
-// small production hash table under a keyspace-exhaustion attack;
-// everything is deterministic so a pass is a pass on every run.
-const (
-	floodBuckets = 2053 // prime bucket count, worst case for mod-table tricks
-	floodTargets = 16   // buckets the attacker tries to crowd
-	floodKeys    = 2048 // attack set size
-	floodBudget  = 4 << 20
-	oracleTrials = 24
-)
-
 // floodSigma floors the oracle deviation so a degenerate estimate
 // cannot make the acceptance band empty.
 func floodSigma(s float64) float64 {
@@ -62,7 +50,7 @@ func TestFloodResistance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewMiner: %v", err)
 			}
-			attack := miner.MineBuckets(floodBuckets, floodTargets, floodKeys, floodBudget)
+			attack := miner.MineBuckets(flood.Buckets, flood.Targets, flood.Keys, flood.Budget)
 			if len(attack) < 256 {
 				t.Fatalf("mined only %d attack keys (affine bits: %d), attack too weak to test",
 					len(attack), miner.Bits())
@@ -71,13 +59,13 @@ func TestFloodResistance(t *testing.T) {
 			// Unseeded: every mined key lands in the 16 target buckets,
 			// so B-Coll is pinned at len-16 or worse — the table is a
 			// handful of chains.
-			unseeded := flood.BColl(flood.Hashes(base.Func(), attack), floodBuckets)
-			if unseeded < len(attack)-floodTargets {
+			unseeded := flood.BColl(flood.Hashes(base.Func(), attack), flood.Buckets)
+			if unseeded < len(attack)-flood.Targets {
 				t.Fatalf("unseeded B-Coll = %d, want >= %d (attack should be catastrophic)",
-					unseeded, len(attack)-floodTargets)
+					unseeded, len(attack)-flood.Targets)
 			}
 
-			mu, sigma := flood.OracleBColl(len(attack), floodBuckets, oracleTrials, 0xBADC0DE)
+			mu, sigma := flood.OracleBColl(len(attack), flood.Buckets, flood.OracleTrials, 0xBADC0DE)
 			sigma = floodSigma(sigma)
 
 			// Seeded: same key set, several fixed seeds. The attacker's
@@ -94,7 +82,7 @@ func TestFloodResistance(t *testing.T) {
 				if !sh.Seeded() {
 					t.Fatal("WithSeed produced an unseeded hash")
 				}
-				mean += float64(flood.BColl(flood.Hashes(sh.Func(), attack), floodBuckets))
+				mean += float64(flood.BColl(flood.Hashes(sh.Func(), attack), flood.Buckets))
 
 				cert := sh.Certificate()
 				if !cert.Seeded || cert.MixerRank != 64 {
@@ -139,22 +127,22 @@ func TestFloodResistanceAes(t *testing.T) {
 
 	var attack []string
 	if miner, err := flood.NewMiner(base.Func(), f.Matches, samples); err == nil {
-		attack = miner.MineBuckets(floodBuckets, floodTargets, 512, floodBudget)
+		attack = miner.MineBuckets(flood.Buckets, flood.Targets, 512, flood.Budget)
 		t.Logf("affine miner modeled Aes on a %d-bit subcube, mined %d keys", miner.Bits(), len(attack))
 	}
 	if len(attack) < 256 {
-		attack = flood.MineBrute(base.Func(), gen.Next, floodBuckets, floodTargets, 512, 1<<20)
+		attack = flood.MineBrute(base.Func(), gen.Next, flood.Buckets, flood.Targets, 512, 1<<20)
 		t.Logf("brute channel mined %d keys", len(attack))
 	}
 	if len(attack) < 256 {
 		t.Fatalf("attack mined only %d keys", len(attack))
 	}
-	unseeded := flood.BColl(flood.Hashes(base.Func(), attack), floodBuckets)
-	if unseeded < len(attack)-floodTargets {
-		t.Fatalf("unseeded Aes B-Coll = %d, want >= %d", unseeded, len(attack)-floodTargets)
+	unseeded := flood.BColl(flood.Hashes(base.Func(), attack), flood.Buckets)
+	if unseeded < len(attack)-flood.Targets {
+		t.Fatalf("unseeded Aes B-Coll = %d, want >= %d", unseeded, len(attack)-flood.Targets)
 	}
 
-	mu, sigma := flood.OracleBColl(len(attack), floodBuckets, oracleTrials, 0x5EED)
+	mu, sigma := flood.OracleBColl(len(attack), flood.Buckets, flood.OracleTrials, 0x5EED)
 	sigma = floodSigma(sigma)
 	const nSeeds = 3
 	var mean float64
@@ -163,7 +151,7 @@ func TestFloodResistanceAes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seeded Synthesize: %v", err)
 		}
-		mean += float64(flood.BColl(flood.Hashes(sh.Func(), attack), floodBuckets))
+		mean += float64(flood.BColl(flood.Hashes(sh.Func(), attack), flood.Buckets))
 	}
 	mean /= nSeeds
 	if z := math.Abs(mean-mu) / sigma; z > 2 {

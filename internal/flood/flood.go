@@ -13,8 +13,9 @@
 // the attacker's affine model is of the wrong member of the family.
 //
 // The package is test/benchmark tooling: it lives behind the internal
-// boundary and is imported by the flood-resistance tests and the
-// sepebench -flood / -traffic drivers, never by the library hot path.
+// boundary and is imported by the flood-resistance tests, the adaptive
+// fault test and the sepebench -flood driver, never by the library hot
+// path.
 package flood
 
 import (
@@ -23,6 +24,20 @@ import (
 	"math/bits"
 
 	"github.com/sepe-go/sepe/internal/rng"
+)
+
+// The attack geometry every flood check shares: a small production
+// hash table under a keyspace-exhaustion attack. The attacker mines
+// Keys in-format keys that crowd Targets of Buckets buckets, within
+// Budget enumeration steps; OracleTrials random-oracle trials give the
+// B-Coll yardstick. A mined set that bites scores at least its size
+// minus Targets in B-Coll against the function it was mined for.
+const (
+	Buckets      = 2053 // prime bucket count, worst case for mod-table tricks
+	Targets      = 16   // buckets the attacker tries to crowd
+	Keys         = 2048 // attack set size
+	Budget       = 4 << 20
+	OracleTrials = 24
 )
 
 // flipBit returns key with bit b of byte pos toggled.

@@ -244,6 +244,10 @@ func TestSeededAdaptiveRotation(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		a.Hash(ssn(i))
 	}
+	seedGen := sepe.ServingSeedGen(a)
+	if seedGen == 0 {
+		t.Fatal("seeded adaptive hash serves an unseeded function")
+	}
 	i := 0
 	deadline := time.Now().Add(60 * time.Second)
 	for a.State() != sepe.AdaptiveRecovered {
@@ -255,6 +259,9 @@ func TestSeededAdaptiveRotation(t *testing.T) {
 	}
 	if s := a.Metrics().Snapshot(); s.ResynthSuccesses < 1 {
 		t.Fatalf("recovery without resynthesis: %+v", s)
+	}
+	if g := sepe.ServingSeedGen(a); g == 0 || g == seedGen {
+		t.Fatalf("recovery did not rotate the seed: generation %d, was %d", g, seedGen)
 	}
 }
 
