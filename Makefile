@@ -19,8 +19,9 @@ FUZZTIME ?= 30s
 
 all: build vet test
 
-# The CI gate: formatting, vet, build, and the full suite under the
-# race detector, then vet and tests of the separate benchmark module.
+# The CI gate: formatting, vet, build, the full suite under the race
+# detector, the layout- and atomics-sensitive packages on a 32-bit
+# target, then vet and tests of the separate benchmark module.
 # Mirrors .github/workflows/ci.yml.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -30,6 +31,7 @@ check:
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(GO) test -tags purego ./...
+	GOARCH=386 $(GO) test -short . ./internal/shard/... ./internal/telemetry/... ./internal/adaptive/...
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 build:
@@ -65,14 +67,15 @@ lint-diff:
 
 # Race-detector gate over the concurrent planes: the serving daemon,
 # the flat container storage the shard and adaptive layers reach from
-# many goroutines, the striped containers, the adaptive lifecycle,
-# the sharded observed containers, whose per-shard telemetry adapters
-# count concurrent lookups, and the composition differential test,
-# whose sharded compositions run four goroutines across hash swaps.
+# many goroutines, the striped containers, the adaptive lifecycle, the
+# telemetry blocks every goroutine feeds, the sharded observed
+# containers, whose per-shard telemetry adapters rely on the shard
+# lock alone, and the composition differential test, whose sharded
+# compositions run four goroutines across hash swaps.
 # `make check` runs the whole suite under -race; this target is the
 # focused loop.
 race:
-	$(GO) test -race ./cmd/sepeserve/... ./internal/container/... ./internal/shard/... ./internal/adaptive/...
+	$(GO) test -race ./cmd/sepeserve/... ./internal/container/... ./internal/shard/... ./internal/adaptive/... ./internal/telemetry/...
 	$(GO) test -race -run 'TestShardedObservedMetrics' -count=10 .
 	$(GO) test -race -run 'TestCompositionDifferential|TestForEachMutatingCallback' -count=1 .
 

@@ -152,9 +152,10 @@ func (h *AdaptiveHash) HashBatch(keys []string, out []uint64) { h.a.HashBatch(ke
 // AdaptiveHash.Hash, so they bypass its call counter and feed every
 // K-th key to the drift monitor on their own count.
 const (
-	// adaptiveCheckEvery is how often (in ops, power of two) the tick
-	// looks at the shared hash at all — the generation test is two
-	// dependent atomic loads, too costly for every operation.
+	// adaptiveCheckEvery is how often (in ops, power of two) a
+	// single-owner container's tick looks at the shared hash at all —
+	// the generation test is two dependent atomic loads, which its
+	// inlined healthy path has no budget for.
 	adaptiveCheckEvery = 8
 	// adaptiveObserveEvery feeds every K-th container key to the drift
 	// monitor (power of two, multiple of adaptiveCheckEvery). The
@@ -176,64 +177,110 @@ type migrator interface {
 	Migrating() bool
 }
 
-// adaptiveTick binds a container to an adaptive hash. A single-owner
-// container counts its operations in ops; a sharded one (shared) in
-// sharedOps, so many goroutines may tick at once. The generation CAS
-// elects exactly one operation to start each migration.
+// adaptiveTick binds a container to an adaptive hash. It paces its
+// checks off an operation count: a single-owner container counts in
+// ops, a sharded one in the stripe each key routes to, under the
+// stripe's lock, so no operation pays an atomic write for the count.
+// A single-owner container tests the generation every
+// adaptiveCheckEvery operations. Per-stripe counts would stretch that
+// pickup to adaptiveCheckEvery operations on every stripe, so a
+// sharded container compares the generation on every operation
+// instead: a swap is picked up by the next operation on any stripe,
+// whatever the stripe count. The generation CAS elects exactly one
+// operation to start each migration.
 type adaptiveTick struct {
-	h         *adaptive.Hash
-	m         migrator
-	shared    bool
-	ops       uint64
-	sharedOps atomic.Uint64
-	gen       atomic.Uint64
-	migrating atomic.Bool
+	h   *adaptive.Hash
+	m   migrator
+	ops uint64
+	// skip masks the operation counts that skip step: healthy while
+	// no migration runs and 0 during one, so that every operation
+	// steps it. Folding the migration flag into the mask makes the
+	// healthy path one load and one branch. It is accessed only
+	// through sync/atomic, and is 32 bits wide because a plain uint64
+	// field is not 8-byte aligned on 32-bit targets, where a 64-bit
+	// atomic on it would panic.
+	skip uint32
+	// healthy is the mask of a tick with no migration to step:
+	// adaptiveCheckEvery-1 for a single-owner container, whose step
+	// tests the generation, and adaptiveObserveEvery-1 for a sharded
+	// one, whose due tests it on every operation.
+	healthy uint32
+	gen     atomic.Uint64
 }
 
-// tick runs the per-operation adaptive duties: sampled observation,
-// swap detection, and one bounded migration step. The healthy path is
-// one counter increment, one load and two predictable branches; every
-// adaptiveCheckEvery ops, and on every op of a migration, step does
-// the rest.
+// newAdaptiveTick binds m, built with h's function of generation gen,
+// to h.
+func newAdaptiveTick(h *adaptive.Hash, gen uint64, m migrator, sharded bool) *adaptiveTick {
+	c := &adaptiveTick{h: h, m: m, healthy: adaptiveCheckEvery - 1}
+	if sharded {
+		c.healthy = adaptiveObserveEvery - 1
+	}
+	c.setMigrating(false)
+	c.gen.Store(gen)
+	return c
+}
+
+// tick counts one operation on key of a single-owner container and
+// runs its adaptive duties: sampled observation, swap detection, and
+// one bounded migration step. The healthy path is one increment, one
+// load and one predictable branch; every adaptiveCheckEvery ops, and
+// on every op of a migration, step does the rest.
+//
+//sepe:noalloc inline
 func (c *adaptiveTick) tick(key string) {
-	var ops uint64
-	if c.shared {
-		ops = c.sharedOps.Add(1)
-	} else {
-		c.ops++
-		ops = c.ops
+	c.ops++
+	if c.ops&uint64(atomic.LoadUint32(&c.skip)) == 0 {
+		c.step(key, c.ops)
 	}
-	if ops&(adaptiveCheckEvery-1) != 0 && !c.migrating.Load() {
-		return
-	}
-	c.step(key, ops)
 }
 
-// step is tick's slow path. The generation test runs every
-// adaptiveCheckEvery ops; the interface dispatches only on a swap,
-// during a migration, or in the re-arm check every
-// adaptiveObserveEvery ops. During a migration concurrent traffic on
-// a sharded container parallelizes the drain, each operation stepping
-// the next shard.
-func (c *adaptiveTick) step(key string, ops uint64) {
-	if c.migrating.Load() && !c.m.MigrateStep(adaptiveMigrateStep) {
-		c.migrating.Store(false)
+// due reports whether the ops-th operation of a sharded container's
+// stripe must run step: every adaptiveObserveEvery ops of the stripe,
+// on every op of a migration, and on the first op after the hash
+// swaps.
+// The container calls step after releasing the stripe's lock, so step
+// never runs under one. A nil tick, that of a container whose hash is
+// not adaptive, is never due.
+//
+//sepe:noalloc inline
+func (c *adaptiveTick) due(ops uint64) bool {
+	return c != nil && (ops&uint64(atomic.LoadUint32(&c.skip)) == 0 || c.h.Generation() != c.gen.Load())
+}
+
+// migrating reports whether the tick is stepping a migration.
+func (c *adaptiveTick) migrating() bool { return atomic.LoadUint32(&c.skip) == 0 }
+
+// setMigrating starts or stops stepping a migration on every op.
+func (c *adaptiveTick) setMigrating(on bool) {
+	skip := c.healthy
+	if on {
+		skip = 0
 	}
-	if ops&(adaptiveCheckEvery-1) != 0 {
-		return
+	atomic.StoreUint32(&c.skip, skip)
+}
+
+// step is the slow path of tick and due. It observes every
+// adaptiveObserveEvery-th key and tests the generation; the interface
+// dispatches only on a swap, during a migration, or in the re-arm
+// check every adaptiveObserveEvery ops. During a migration concurrent
+// traffic on a sharded container parallelizes the drain, each
+// operation stepping the next shard.
+func (c *adaptiveTick) step(key string, ops uint64) {
+	if c.migrating() && !c.m.MigrateStep(adaptiveMigrateStep) {
+		c.setMigrating(false)
 	}
 	if ops&(adaptiveObserveEvery-1) == 0 {
 		c.h.Observe(key)
 		// Re-arm after a lost race: a goroutine clearing the flag at
 		// the end of one migration can overwrite the set of a migration
 		// that began concurrently. The periodic scan restores it.
-		if !c.migrating.Load() && c.m.Migrating() {
-			c.migrating.Store(true)
+		if !c.migrating() && c.m.Migrating() {
+			c.setMigrating(true)
 		}
 	}
 	g := c.h.Generation()
 	if old := c.gen.Load(); g != old && c.gen.CompareAndSwap(old, g) {
 		c.m.BeginMigration(c.h.Current())
-		c.migrating.Store(true)
+		c.setMigrating(true)
 	}
 }

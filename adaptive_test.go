@@ -7,6 +7,7 @@ package sepe_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,5 +250,117 @@ func TestBijectiveMapRejectsOffFormatKeys(t *testing.T) {
 	}
 	if v, ok := m.Get("078-05-1120"); !ok || v != 1 {
 		t.Fatalf("surviving entry = %d,%v", v, ok)
+	}
+}
+
+// TestAdaptiveShardedSwapPickup pins how soon a sharded adaptive map
+// notices a generation swap. The map counts operations per stripe, so
+// a check paced off those counts alone would leave the swap unseen for
+// up to a pace's worth of operations on every stripe; instead every
+// operation compares the generation, and the migration must begin on
+// the first operation after the swap, whether the keys spread over all
+// stripes or all route to one. Each stripe is filled with a multiple
+// of adaptiveObserveEvery (64) keys, so no stripe's own count is due
+// when the swap lands. Two goroutines then finish the migration, and
+// no entry may be lost.
+func TestAdaptiveShardedSwapPickup(t *testing.T) {
+	const shards, perStripe = 8, 64
+	for _, tc := range []struct {
+		name    string
+		stripes int // the keys route to stripes 0 … stripes-1
+	}{
+		{"spread", shards},
+		{"one-stripe", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := sepe.ParseRegex(`[0-9]{3}-[0-9]{2}-[0-9]{4}`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := fastAdaptiveCfg()
+			// Re-synthesis never finishes, so forcing drift swaps the
+			// generation exactly once, to the fallback.
+			cfg.Synthesize = func(ctx context.Context, _ []string) (sepe.AdaptiveFunction, error) {
+				<-ctx.Done()
+				return nil, ctx.Err()
+			}
+			// Aes spreads the routing bits evenly over the stripes.
+			ah, err := sepe.NewAdaptiveHash("pickup", f, sepe.Aes, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ah.Close()
+			route := ah.Current()
+			m := sepe.NewMap[int](ah, sepe.Sharded(shards))
+
+			byStripe := make([][]string, tc.stripes)
+			want := map[string]int{}
+			for i, full := 0, 0; full < tc.stripes; i++ {
+				k := ssn(i)
+				s := int(route(k) >> (64 - 3))
+				if s >= tc.stripes || len(byStripe[s]) == perStripe {
+					continue
+				}
+				byStripe[s] = append(byStripe[s], k)
+				if len(byStripe[s]) == perStripe {
+					full++
+				}
+				m.Put(k, i)
+				want[k] = i
+			}
+			if m.Migrating() {
+				t.Fatal("migrating before the swap")
+			}
+			forceDrift(ah)
+			if ah.Generation() != 2 {
+				t.Fatalf("generation %d after forced drift, want 2", ah.Generation())
+			}
+
+			k := byStripe[tc.stripes-1][0]
+			if v, ok := m.Get(k); !ok || v != want[k] {
+				t.Fatalf("Get(%q) = %d, %v across the swap, want %d", k, v, ok, want[k])
+			}
+			if !m.Migrating() {
+				t.Fatal("no migration after the first operation since the swap")
+			}
+
+			var wg sync.WaitGroup
+			added := make([]map[string]int, 2)
+			for g := range added {
+				added[g] = map[string]int{}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; m.Migrating(); i++ {
+						if i == 1000000 {
+							t.Errorf("goroutine %d: migration unfinished after %d operations", g, i)
+							return
+						}
+						k := fmt.Sprintf("g%d-%d", g, i)
+						m.Put(k, -i)
+						added[g][k] = -i
+						old := byStripe[i%tc.stripes][(i/tc.stripes)%perStripe]
+						if v, ok := m.Get(old); !ok || v != want[old] {
+							t.Errorf("mid-migration Get(%q) = %d, %v, want %d", old, v, ok, want[old])
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for _, a := range added {
+				for k, v := range a {
+					want[k] = v
+				}
+			}
+			for k, v := range want {
+				if got, ok := m.Get(k); !ok || got != v {
+					t.Fatalf("after the migration Get(%q) = %d, %v, want %d", k, got, ok, v)
+				}
+			}
+			if m.Len() != len(want) {
+				t.Fatalf("Len %d after the migration, want %d", m.Len(), len(want))
+			}
+		})
 	}
 }

@@ -52,11 +52,12 @@ type containerConfig struct {
 
 // Sharded makes the container safe for concurrent use by splitting
 // its keys over a power-of-two number of independent tables (shards),
-// each guarded by its own RWMutex: writers on different shards never
-// contend, readers proceed in parallel within a shard. n rounds up to
-// a power of two; n < 1 sizes the stripe from GOMAXPROCS. Shard
-// selection uses the top bits of the hash, bucket probing inside a
-// shard the prime modulus, so the two stay independent.
+// each guarded by its own Mutex: operations on different shards never
+// contend, and each operation takes exactly one lock, lookups
+// included. n rounds up to a power of two; n < 1 sizes the stripe from
+// GOMAXPROCS. Shard selection uses the top bits of the hash, bucket
+// probing inside a shard the prime modulus, so the two stay
+// independent.
 //
 // Whole-container views (Len, Stats, ForEach) visit shards one at a
 // time and are not atomic snapshots. The batch operations group keys
@@ -112,7 +113,7 @@ func newStore[V any, S HashSource](src S, multi bool, opts []ContainerOption) st
 		c.sh = shard.NewTable[V](hash, multi, cfg.shards)
 		if cfg.reg != nil {
 			ms := cfg.reg.NewContainerShards(cfg.name, c.sh.Shards())
-			c.sh.SetShardObservers(func(i int) container.Observer { return telemetry.NewShardContainerOps(ms[i]) })
+			c.sh.SetShardObservers(func(i int) container.Observer { return telemetry.NewBatchedContainerOps(ms[i]) })
 		}
 		m = c.sh
 	} else {
@@ -123,8 +124,7 @@ func newStore[V any, S HashSource](src S, multi bool, opts []ContainerOption) st
 		m = c.t
 	}
 	if ah != nil {
-		c.ad = &adaptiveTick{h: ah, m: m, shared: cfg.sharded}
-		c.ad.gen.Store(gen)
+		c.ad = newAdaptiveTick(ah, gen, m, cfg.sharded)
 	}
 	return c
 }
@@ -132,8 +132,8 @@ func newStore[V any, S HashSource](src S, multi bool, opts []ContainerOption) st
 // put, get and del serve a plain single-owner container straight from
 // its table through the hashed entry points, which keeps that path one
 // call deep, as deep as the table's own Put; every other composition
-// takes the routed path, which ticks the adaptive hash and picks the
-// storage.
+// takes the routed path, which picks the storage and ticks the
+// adaptive hash.
 func (c *store[V]) put(key string, val V) bool {
 	if c.ad == nil && c.sh == nil {
 		return c.t.PutHashed(c.t.Hash(key), key, val)
@@ -155,81 +155,112 @@ func (c *store[V]) del(key string) int {
 	return c.delRouted(key)
 }
 
+// The routed operations of a sharded container step the adaptive
+// hash, when due, after the shard has counted the operation and
+// released its lock; those of an adaptive single-owner one tick
+// first, on the tick's own count.
+
 func (c *store[V]) putRouted(key string, val V) bool {
-	c.tick(key)
 	if c.sh != nil {
-		return c.sh.Put(key, val)
+		isNew, ops := c.sh.Put(key, val)
+		if c.ad.due(ops) {
+			c.ad.step(key, ops)
+		}
+		return isNew
 	}
+	c.ad.tick(key)
 	return c.t.PutHashed(c.t.Hash(key), key, val)
 }
 
 func (c *store[V]) getRouted(key string) (V, bool) {
-	c.tick(key)
 	if c.sh != nil {
-		return c.sh.Get(key)
+		v, ok, ops := c.sh.Get(key)
+		if c.ad.due(ops) {
+			c.ad.step(key, ops)
+		}
+		return v, ok
 	}
+	c.ad.tick(key)
 	return c.t.GetHashed(c.t.Hash(key), key)
 }
 
 func (c *store[V]) delRouted(key string) int {
-	c.tick(key)
 	if c.sh != nil {
-		return c.sh.Delete(key)
+		n, ops := c.sh.Delete(key)
+		if c.ad.due(ops) {
+			c.ad.step(key, ops)
+		}
+		return n
 	}
+	c.ad.tick(key)
 	return c.t.DeleteHashed(c.t.Hash(key), key)
 }
 
-// tick runs the adaptive duties of one operation on key, if any.
+func (c *store[V]) count(key string) int {
+	if c.sh != nil {
+		n, ops := c.sh.Count(key)
+		if c.ad.due(ops) {
+			c.ad.step(key, ops)
+		}
+		return n
+	}
+	c.tick(key)
+	return c.t.Count(key)
+}
+
+func (c *store[V]) getAll(key string) []V {
+	if c.sh != nil {
+		vs, ops := c.sh.GetAll(key)
+		if c.ad.due(ops) {
+			c.ad.step(key, ops)
+		}
+		return vs
+	}
+	c.tick(key)
+	return c.t.GetAll(key)
+}
+
+// tick runs the adaptive duties of one operation on key of a
+// single-owner container, if any.
 func (c *store[V]) tick(key string) {
 	if c.ad != nil {
 		c.ad.tick(key)
 	}
 }
 
-func (c *store[V]) count(key string) int {
-	c.tick(key)
-	if c.sh != nil {
-		return c.sh.Count(key)
+// stepAll steps the adaptive hash for every key of a sharded batch
+// that is due, ops holding each key's count on its stripe.
+func (c *store[V]) stepAll(keys []string, ops []uint64) {
+	if c.ad == nil {
+		return
 	}
-	return c.t.Count(key)
-}
-
-func (c *store[V]) getAll(key string) []V {
-	c.tick(key)
-	if c.sh != nil {
-		return c.sh.GetAll(key)
-	}
-	return c.t.GetAll(key)
-}
-
-// tickAll runs the adaptive duties once per key of a batch, so a batch
-// steps a migration as far as the same keys one by one would.
-func (c *store[V]) tickAll(keys []string) {
-	for _, k := range keys {
-		c.tick(k)
+	for i, n := range ops {
+		if c.ad.due(n) {
+			c.ad.step(keys[i], n)
+		}
 	}
 }
 
 func (c *store[V]) putBatch(keys []string, vals []V) {
 	vals = vals[:len(keys)]
-	c.tickAll(keys)
 	if c.sh != nil {
-		c.sh.PutBatch(keys, vals)
+		c.stepAll(keys, c.sh.PutBatch(keys, vals))
 		return
 	}
 	for i, k := range keys {
+		c.tick(k)
 		c.t.Put(k, vals[i])
 	}
 }
 
 func (c *store[V]) getBatch(keys []string, vals []V, found []bool) {
 	vals, found = vals[:len(keys)], found[:len(keys)]
-	c.tickAll(keys)
 	if c.sh != nil {
-		c.sh.GetBatch(keys, vals, found)
+		c.stepAll(keys, c.sh.GetBatch(keys, vals, found))
 		return
 	}
 	for i, k := range keys {
+		c.tick(k)
 		vals[i], found[i] = c.t.Get(k)
 	}
 }
@@ -246,8 +277,8 @@ func (c *store[V]) Len() int {
 // entries first and calls f on the copy, so f may call back into the
 // container, mutating it included: f sees exactly the entries present
 // when ForEach began, each once, whatever it inserts or deletes. A
-// sharded container copies one shard at a time under its read lock,
-// so the copy is not an atomic snapshot of concurrent writers.
+// sharded container copies one shard at a time under its lock, so the
+// copy is not an atomic snapshot of concurrent writers.
 //
 // The copies are sized from the entry count up front. On a sharded
 // container that count is only a hint: a shard that grows before its

@@ -202,7 +202,7 @@ func (c *checker) collectClasses(pkg *analysis.Package) {
 
 // collectTypeClasses registers the classes a struct type declares: one
 // per named mutex field, and one for the type itself when it embeds a
-// mutex (shardLock embeds RWMutex; locking any instance locks the
+// mutex (shardLock embeds Mutex; locking any instance locks the
 // class).
 func (c *checker) collectTypeClasses(pkg *analysis.Package, gd *ast.GenDecl, ts *ast.TypeSpec) {
 	tobj := pkg.TypesInfo.Defs[ts.Name]
@@ -379,7 +379,7 @@ func (w *walker) classOf(x ast.Expr) *lockClass {
 	if ptr, ok := t.Underlying().(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	// A named non-sync type (shardLock embedding RWMutex): the type is
+	// A named non-sync type (shardLock embedding Mutex): the type is
 	// the class.
 	if named, ok := t.(*types.Named); ok && !isMutexType(t) {
 		if cl, ok := w.c.classes[named.Obj()]; ok {

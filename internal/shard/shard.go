@@ -1,10 +1,15 @@
 // Package shard implements the lock-striped router behind every
 // sharded container: one generic Table splits its keys over a
 // power-of-two number of independent container.Tables, each guarded
-// by its own RWMutex, so writers on different shards never contend
-// and readers proceed in parallel within a shard. The multi flag of
-// the underlying tables selects the container kind, so the four kinds
-// share this one router.
+// by its own sync.Mutex, so operations on different shards never
+// contend. Reads take the same plain lock as writes: an RWMutex's
+// RLock writes the stripe's shared reader count too, so readers of one
+// stripe would bounce its cache line anyway, and it costs twice the
+// atomic read-modify-writes of a Mutex for a critical section of about
+// 100 ns. One lock per operation also lets the shard count operations
+// for the adaptive tick and serialize its observer's hooks with no
+// atomic of their own. The multi flag of the underlying tables selects
+// the container kind, so the four kinds share this one router.
 //
 // Shard selection uses the TOP bits of the specialized hash:
 //
@@ -83,16 +88,24 @@ func shardCount(n int) int {
 	return nextPow2(n)
 }
 
-// shardLock is one stripe's RWMutex and migrating flag, padded to a
-// cache line so adjacent stripes' lock words do not false-share. The
-// flag is written only under the lock and read atomically, so a
-// migration step can skip finished stripes without locking them.
+// shardLock is one stripe's Mutex, migrating flag and operation
+// count, padded to a cache line so adjacent stripes' lock words do not
+// false-share. The flag is written only under the lock and read
+// atomically, so a migration step can skip finished stripes without
+// locking them. ops counts the point operations and batch keys routed
+// to the stripe; it is guarded by the lock and shares its line, so
+// counting costs no write the lock does not already make.
 //
 //sepe:lockrank 50
 type shardLock struct {
-	sync.RWMutex
+	sync.Mutex
+	// ops follows the 8-byte Mutex, so it sits at offset 8 on every
+	// GOARCH and the fields end at byte 20 whatever the word size: a
+	// uint64 after the 4-byte flag would be padded to offset 16 on
+	// 64-bit targets only, and the stripe would not be 64 bytes on both.
+	ops       uint64
 	migrating atomic.Bool
-	_         [36]byte
+	_         [44]byte
 }
 
 func log2(n int) int {

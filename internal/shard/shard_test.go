@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/sepe-go/sepe/internal/container"
 	"github.com/sepe-go/sepe/internal/hashes"
@@ -23,6 +24,15 @@ func TestShardOptions(t *testing.T) {
 	}
 	if n := shardCount(-3); n != defaultShards() {
 		t.Errorf("shardCount(-3) = %d, want default %d", n, defaultShards())
+	}
+}
+
+// TestShardLockIsOneCacheLine pins the stripe's padding: a stripe that
+// is not exactly 64 bytes shares a cache line with its neighbour, and
+// two shards' locks would then false-share with no test failing.
+func TestShardLockIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(shardLock{}); size != 64 {
+		t.Fatalf("shardLock is %d bytes, want 64", size)
 	}
 }
 
@@ -99,21 +109,28 @@ func TestBatchMatchesLoop(t *testing.T) {
 		vals[i] = i * 7
 	}
 	batch := NewTable[int](hashes.STL, false, 8)
-	batch.PutBatch(keys, vals)
+	ops := batch.PutBatch(keys, vals)
 	loop := NewTable[int](hashes.STL, false, 8)
 	for i, k := range keys {
-		loop.Put(k, vals[i])
+		// Each key counts on its own shard, in key order within it, as
+		// the same puts one by one do.
+		if _, n := loop.Put(k, vals[i]); n != ops[i] {
+			t.Fatalf("PutBatch counted %q as op %d of its shard, looped Put %d", k, ops[i], n)
+		}
 	}
 	if batch.Len() != loop.Len() {
 		t.Fatalf("PutBatch Len %d != looped %d", batch.Len(), loop.Len())
 	}
 	got := make([]int, len(keys))
 	ok := make([]bool, len(keys))
-	batch.GetBatch(keys, got, ok)
+	ops = batch.GetBatch(keys, got, ok)
 	for i, k := range keys {
-		want, found := loop.Get(k)
+		want, found, n := loop.Get(k)
 		if ok[i] != found || got[i] != want {
 			t.Fatalf("GetBatch[%q] = (%d,%v), loop Get = (%d,%v)", k, got[i], ok[i], want, found)
+		}
+		if n != ops[i] {
+			t.Fatalf("GetBatch counted %q as op %d of its shard, looped Get %d", k, ops[i], n)
 		}
 	}
 	// Missing keys must come back found=false without disturbing hits.
@@ -187,7 +204,7 @@ func TestShardedMapParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				k := fmt.Sprintf("w%d-%04d", (r+i)%writers, i)
-				if v, ok := m.Get(k); ok {
+				if v, ok, _ := m.Get(k); ok {
 					// A concurrent read may or may not find the key, but a
 					// found value must be the one its owner wrote.
 					if want := ((r+i)%writers)*perG + i; v != want {
@@ -214,7 +231,7 @@ func TestShardedMapParallel(t *testing.T) {
 		t.Fatalf("final Len = %d, oracle has %d", m.Len(), len(oracle))
 	}
 	for k, want := range oracle {
-		if v, ok := m.Get(k); !ok || v != want {
+		if v, ok, _ := m.Get(k); !ok || v != want {
 			t.Fatalf("final Get(%q) = (%d,%v), oracle %d", k, v, ok, want)
 		}
 	}
@@ -263,7 +280,7 @@ func TestShardedSetParallel(t *testing.T) {
 		t.Fatalf("final Len = %d, oracle has %d", s.Len(), len(oracle))
 	}
 	for k := range oracle {
-		if _, ok := s.Get(k); !ok {
+		if _, ok, _ := s.Get(k); !ok {
 			t.Fatalf("member %q missing", k)
 		}
 	}
@@ -301,11 +318,11 @@ func TestShardedMultiMapParallel(t *testing.T) {
 	total := 0
 	for k, want := range oracle {
 		total += want
-		if got := m.Count(k); got != want {
+		if got, _ := m.Count(k); got != want {
 			t.Fatalf("Count(%q) = %d, oracle %d", k, got, want)
 		}
-		if got := len(m.GetAll(k)); got != want {
-			t.Fatalf("len(GetAll(%q)) = %d, oracle %d", k, got, want)
+		if vs, _ := m.GetAll(k); len(vs) != want {
+			t.Fatalf("len(GetAll(%q)) = %d, oracle %d", k, len(vs), want)
 		}
 	}
 	if m.Len() != total {
@@ -345,7 +362,7 @@ func TestShardedMultiSetParallel(t *testing.T) {
 	total := 0
 	for k, want := range oracle {
 		total += want
-		if got := s.Count(k); got != want {
+		if got, _ := s.Count(k); got != want {
 			t.Fatalf("Count(%q) = %d, oracle %d", k, got, want)
 		}
 	}
@@ -411,7 +428,7 @@ func TestShardedMigration(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				k := fmt.Sprintf("key-%04d", (i*7+r)%n)
-				if v, ok := m.Get(k); !ok || v != (i*7+r)%n {
+				if v, ok, _ := m.Get(k); !ok || v != (i*7+r)%n {
 					t.Errorf("mid-migration Get(%q) = (%d,%v)", k, v, ok)
 					return
 				}
@@ -426,14 +443,14 @@ func TestShardedMigration(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%04d", i)
-		if v, ok := m.Get(k); !ok || v != i {
+		if v, ok, _ := m.Get(k); !ok || v != i {
 			t.Fatalf("post-migration Get(%q) = (%d,%v), want (%d,true)", k, v, ok, i)
 		}
 	}
 	// New writes after the swap must keep working: the shard tables
 	// now probe with the new function while routing keeps the old.
 	m.Put("post-swap", 1)
-	if v, ok := m.Get("post-swap"); !ok || v != 1 {
+	if v, ok, _ := m.Get("post-swap"); !ok || v != 1 {
 		t.Fatalf("post-swap Put/Get = (%d,%v)", v, ok)
 	}
 }
@@ -477,7 +494,7 @@ func TestMigrationStepsOnlyMigratingShards(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%05d", i)
-		if v, ok := m.Get(key); !ok || v != i {
+		if v, ok, _ := m.Get(key); !ok || v != i {
 			t.Fatalf("post-migration Get(%q) = (%d,%v)", key, v, ok)
 		}
 	}
@@ -512,7 +529,7 @@ func TestClearDuringMigrationResetsCount(t *testing.T) {
 	if m.active.Load() != 0 {
 		t.Fatalf("migrating count %d after the drain", m.active.Load())
 	}
-	if v, ok := m.Get("a"); !ok || v != 1 {
+	if v, ok, _ := m.Get("a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = (%d,%v) after the second migration", v, ok)
 	}
 }
@@ -540,7 +557,7 @@ func TestMigrationConcurrentOps(t *testing.T) {
 	run(func(i int) { m.Put(key(i), i%1500) })
 	run(func(i int) { m.Put(key(i*7), (i*7)%1500) })
 	run(func(i int) {
-		if v, ok := m.Get(key(i * 3)); ok && v != (i*3)%1500 {
+		if v, ok, _ := m.Get(key(i * 3)); ok && v != (i*3)%1500 {
 			t.Errorf("Get(%q) = %d, want %d", key(i*3), v, (i*3)%1500)
 		}
 	})
@@ -557,7 +574,7 @@ func TestMigrationConcurrentOps(t *testing.T) {
 	wg.Wait()
 	want := 0
 	for i := range m.tabs {
-		m.locks[i].RLock()
+		m.locks[i].Lock()
 		mg := m.tabs[i].Migrating()
 		if mg != m.locks[i].migrating.Load() {
 			t.Errorf("shard %d: flag %v, table migrating %v", i, m.locks[i].migrating.Load(), mg)
@@ -565,7 +582,7 @@ func TestMigrationConcurrentOps(t *testing.T) {
 		if mg {
 			want++
 		}
-		m.locks[i].RUnlock()
+		m.locks[i].Unlock()
 	}
 	if got := m.active.Load(); got != int64(want) {
 		t.Fatalf("migrating count %d, want %d shards still migrating", got, want)

@@ -40,68 +40,91 @@ func NewTable[V any](hash hashes.Func, multi bool, n int) *Table[V] {
 // Shards returns the shard count.
 func (t *Table[V]) Shards() int { return len(t.tabs) }
 
+// The point operations below also return ops, the count of
+// operations routed to the key's shard so far, this one included: the
+// shard counts them under its lock, so an adaptive container can pace
+// its checks off that count without an atomic of its own.
+
 // Put maps key to val (appends, for a multi table), reporting whether
 // the key was new.
-func (t *Table[V]) Put(key string, val V) bool {
+func (t *Table[V]) Put(key string, val V) (isNew bool, ops uint64) {
 	h := t.hash(key)
 	s := t.shardOf(h)
-	t.locks[s].Lock()
+	l := &t.locks[s]
+	l.Lock()
+	l.ops++
 	tab := t.tabs[s]
-	isNew := tab.PutHashed(tab.CurrentHash(h, key), key, val)
-	t.locks[s].Unlock()
-	return isNew
+	isNew = tab.PutHashed(tab.CurrentHash(h, key), key, val)
+	ops = l.ops
+	l.Unlock()
+	return isNew, ops
 }
 
 // Get returns the first value mapped to key.
-func (t *Table[V]) Get(key string) (V, bool) {
+func (t *Table[V]) Get(key string) (v V, ok bool, ops uint64) {
 	h := t.hash(key)
 	s := t.shardOf(h)
-	t.locks[s].RLock()
+	l := &t.locks[s]
+	l.Lock()
+	l.ops++
 	tab := t.tabs[s]
-	v, ok := tab.GetHashed(tab.CurrentHash(h, key), key)
-	t.locks[s].RUnlock()
-	return v, ok
+	v, ok = tab.GetHashed(tab.CurrentHash(h, key), key)
+	ops = l.ops
+	l.Unlock()
+	return v, ok, ops
 }
 
 // Count returns the number of entries for key.
-func (t *Table[V]) Count(key string) int {
+func (t *Table[V]) Count(key string) (n int, ops uint64) {
 	h := t.hash(key)
 	s := t.shardOf(h)
-	t.locks[s].RLock()
+	l := &t.locks[s]
+	l.Lock()
+	l.ops++
 	tab := t.tabs[s]
-	n := tab.CountHashed(tab.CurrentHash(h, key), key)
-	t.locks[s].RUnlock()
-	return n
+	n = tab.CountHashed(tab.CurrentHash(h, key), key)
+	ops = l.ops
+	l.Unlock()
+	return n, ops
 }
 
 // GetAll returns every value mapped to key.
-func (t *Table[V]) GetAll(key string) []V {
+func (t *Table[V]) GetAll(key string) (vs []V, ops uint64) {
 	h := t.hash(key)
 	s := t.shardOf(h)
-	t.locks[s].RLock()
+	l := &t.locks[s]
+	l.Lock()
+	l.ops++
 	tab := t.tabs[s]
-	vs := tab.GetAllHashed(tab.CurrentHash(h, key), key)
-	t.locks[s].RUnlock()
-	return vs
+	vs = tab.GetAllHashed(tab.CurrentHash(h, key), key)
+	ops = l.ops
+	l.Unlock()
+	return vs, ops
 }
 
 // Delete removes every entry for key, reporting how many went away.
-func (t *Table[V]) Delete(key string) int {
+func (t *Table[V]) Delete(key string) (n int, ops uint64) {
 	h := t.hash(key)
 	s := t.shardOf(h)
-	t.locks[s].Lock()
+	l := &t.locks[s]
+	l.Lock()
+	l.ops++
 	tab := t.tabs[s]
-	n := tab.DeleteHashed(tab.CurrentHash(h, key), key)
-	t.locks[s].Unlock()
-	return n
+	n = tab.DeleteHashed(tab.CurrentHash(h, key), key)
+	ops = l.ops
+	l.Unlock()
+	return n, ops
 }
 
 // PutBatch puts keys[i]→vals[i] for every i, grouping the keys by
 // shard so each shard's lock is taken once per batch rather than once
 // per key. Within a shard the batch applies in key order, so the
 // relative order of duplicate keys is kept; across shards the order
-// is unspecified (shards hold disjoint keys).
-func (t *Table[V]) PutBatch(keys []string, vals []V) {
+// is unspecified (shards hold disjoint keys). Each key counts as one
+// operation on its shard: the returned ops[i] is the count the point
+// operations would return for keys[i], in that order. ops reuses the
+// slice that held the keys' hashes.
+func (t *Table[V]) PutBatch(keys []string, vals []V) (ops []uint64) {
 	vals = vals[:len(keys)]
 	hs := make([]uint64, len(keys))
 	order, start := t.group(keys, hs, len(t.tabs))
@@ -110,18 +133,22 @@ func (t *Table[V]) PutBatch(keys []string, vals []V) {
 		if lo == hi {
 			continue
 		}
-		t.locks[s].Lock()
-		tab := t.tabs[s]
+		l, tab := &t.locks[s], t.tabs[s]
+		l.Lock()
 		for _, i := range order[lo:hi] {
 			tab.PutHashed(tab.CurrentHash(hs[i], keys[i]), keys[i], vals[i])
+			l.ops++
+			hs[i] = l.ops
 		}
-		t.locks[s].Unlock()
+		l.Unlock()
 	}
+	return hs
 }
 
 // GetBatch looks up every key, writing vals[i], found[i] for keys[i].
-// Like PutBatch it takes each shard's read lock once per batch.
-func (t *Table[V]) GetBatch(keys []string, vals []V, found []bool) {
+// Like PutBatch it takes each shard's lock once per batch and returns
+// the keys' operation counts.
+func (t *Table[V]) GetBatch(keys []string, vals []V, found []bool) (ops []uint64) {
 	vals = vals[:len(keys)]
 	found = found[:len(keys)]
 	hs := make([]uint64, len(keys))
@@ -131,22 +158,25 @@ func (t *Table[V]) GetBatch(keys []string, vals []V, found []bool) {
 		if lo == hi {
 			continue
 		}
-		t.locks[s].RLock()
-		tab := t.tabs[s]
+		l, tab := &t.locks[s], t.tabs[s]
+		l.Lock()
 		for _, i := range order[lo:hi] {
 			vals[i], found[i] = tab.GetHashed(tab.CurrentHash(hs[i], keys[i]), keys[i])
+			l.ops++
+			hs[i] = l.ops
 		}
-		t.locks[s].RUnlock()
+		l.Unlock()
 	}
+	return hs
 }
 
 // Len returns the total entry count across shards.
 func (t *Table[V]) Len() int {
 	n := 0
 	for i := range t.tabs {
-		t.locks[i].RLock()
+		t.locks[i].Lock()
 		n += t.tabs[i].Len()
-		t.locks[i].RUnlock()
+		t.locks[i].Unlock()
 	}
 	return n
 }
@@ -159,21 +189,21 @@ func (t *Table[V]) Stats() container.Stats { return mergeStats(t.ShardStats()) }
 func (t *Table[V]) ShardStats() []container.Stats {
 	out := make([]container.Stats, len(t.tabs))
 	for i := range t.tabs {
-		t.locks[i].RLock()
+		t.locks[i].Lock()
 		out[i] = t.tabs[i].Stats()
-		t.locks[i].RUnlock()
+		t.locks[i].Unlock()
 	}
 	return out
 }
 
-// Snapshot appends shard i's entries to keys and vals under its read
-// lock and returns the extended slices. Callers iterate the copy after
-// the lock is released, so a callback may call back into the table,
+// Snapshot appends shard i's entries to keys and vals under its lock
+// and returns the extended slices. Callers iterate the copy after the
+// lock is released, so a callback may call back into the table,
 // mutations included, and never stalls concurrent writers.
 func (t *Table[V]) Snapshot(i int, keys []string, vals []V) ([]string, []V) {
-	t.locks[i].RLock()
+	t.locks[i].Lock()
 	keys, vals = t.tabs[i].Snapshot(keys, vals)
-	t.locks[i].RUnlock()
+	t.locks[i].Unlock()
 	return keys, vals
 }
 
@@ -200,8 +230,8 @@ func (t *Table[V]) Clear() {
 
 // SetShardObservers installs per-shard observers: f is called once per
 // shard index, before the shard's lock is taken, and a nil f removes
-// them all. A shard's lookups run concurrently under its read lock, so
-// its observer's Get must tolerate concurrent calls.
+// them all. Every hook of a shard's observer runs under the shard's
+// lock, so an observer needs no synchronization of its own.
 func (t *Table[V]) SetShardObservers(f func(shard int) container.Observer) {
 	for i := range t.tabs {
 		var o container.Observer

@@ -210,51 +210,26 @@ func (o *opCount) flush(c *Counter) {
 // deltas apply at once: the running count backs the quality alarms.
 //
 // It is a container.Observer. Its owner is whatever serializes its
-// table's writes: the goroutine that owns a single-owner container, or
-// the write lock of one shard of a sharded container (every Put,
-// Delete, Reserve, Clear, BeginMigration and MigrateStep holds it).
-// Every method must run under that owner; a shard, whose lookups hold
-// only its read lock, reports to a ShardContainerOps instead.
+// table's operations: the goroutine that owns a single-owner
+// container, or the lock of one shard of a sharded container (every
+// operation on the shard, lookups included, holds it). Every method
+// must run under that owner.
 //
-// The struct is 64 bytes, a size class whose objects are 64-byte
-// aligned, so an operation dirties one cache line of its adapter:
-// that line is what the cores sharing a shard hand back and forth.
+// The struct is padded to 64 bytes, a size class whose objects are
+// 64-byte aligned, so an operation dirties one cache line of its
+// adapter: that line is what the cores sharing a shard hand back and
+// forth.
 type BatchedContainerOps struct {
 	puts, gets, dels opCount
-	// sharedGets counts a ShardContainerOps' lookups; Flush, which no
-	// lookup overlaps, copies it into gets.n.
-	sharedGets atomic.Uint64
-	m          *ContainerMetrics
+	m                *ContainerMetrics
+	// Three 16-byte opCounts and a pointer; the pad is sized by the
+	// pointer's width, so the adapter is 64 bytes on every GOARCH.
+	_ [64 - 3*16 - bits.UintSize/8]byte
 }
 
 // NewBatchedContainerOps returns a batching adapter over m.
 func NewBatchedContainerOps(m *ContainerMetrics) *BatchedContainerOps {
 	return &BatchedContainerOps{m: m}
-}
-
-// ShardContainerOps is the BatchedContainerOps of one shard, whose
-// lookups run concurrently under its read lock. It embeds the adapter
-// by value and overrides only Get, so it stays one cache line and its
-// other methods are the adapter's own, reached by a tail jump.
-type ShardContainerOps struct{ BatchedContainerOps }
-
-// NewShardContainerOps returns a shard's batching adapter over m,
-// built in place: the adapter holds an atomic and must not be copied.
-func NewShardContainerOps(m *ContainerMetrics) *ShardContainerOps {
-	s := new(ShardContainerOps)
-	s.m = m
-	return s
-}
-
-// Get records a lookup under the shard's read lock with one atomic
-// add. Each value it returns reaches one call, which samples and
-// publishes off it, so each chunk is published once.
-//
-//sepe:noalloc
-func (s *ShardContainerOps) Get(key string, probes int) {
-	if n := s.sharedGets.Add(1); n%probeSampleEvery == 0 {
-		s.sample(&s.gets, n, key, probes)
-	}
 }
 
 // Put records one insert of key that examined probes chain entries
@@ -264,21 +239,20 @@ func (s *ShardContainerOps) Get(key string, probes int) {
 func (b *BatchedContainerOps) Put(key string, probes, collDelta int) {
 	b.puts.n++
 	if b.puts.n%probeSampleEvery == 0 {
-		b.sample(&b.puts, b.puts.n, key, probes)
+		b.sample(&b.puts, key, probes)
 	}
 	if collDelta != 0 {
 		b.m.CollisionDelta(collDelta)
 	}
 }
 
-// Get records one lookup of key that examined probes chain entries,
-// made by the adapter's owner.
+// Get records one lookup of key that examined probes chain entries.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Get(key string, probes int) {
 	b.gets.n++
 	if b.gets.n%probeSampleEvery == 0 {
-		b.sample(&b.gets, b.gets.n, key, probes)
+		b.sample(&b.gets, key, probes)
 	}
 }
 
@@ -289,7 +263,7 @@ func (b *BatchedContainerOps) Get(key string, probes int) {
 func (b *BatchedContainerOps) Delete(key string, probes, collDelta int) {
 	b.dels.n++
 	if b.dels.n%probeSampleEvery == 0 {
-		b.sample(&b.dels, b.dels.n, key, probes)
+		b.sample(&b.dels, key, probes)
 	}
 	b.Flush()
 	if collDelta != 0 {
@@ -324,13 +298,12 @@ func (b *BatchedContainerOps) MigrateDone(buckets int) {
 	b.m.MigrateDone(buckets)
 }
 
-// sample feeds the n-th operation of the kind o counts, a sampled
+// sample feeds the latest operation of the kind o counts, a sampled
 // one, to the kind's histogram and the exemplar, and publishes its
-// chunk when n ends one. It only reads o, so concurrent lookups may
-// share it.
+// chunk when that operation ends one.
 //
 //sepe:noalloc
-func (b *BatchedContainerOps) sample(o *opCount, n uint64, key string, probes int) {
+func (b *BatchedContainerOps) sample(o *opCount, key string, probes int) {
 	c, h := &b.m.deletes, &b.m.delProbes
 	switch o {
 	case &b.puts:
@@ -340,20 +313,16 @@ func (b *BatchedContainerOps) sample(o *opCount, n uint64, key string, probes in
 	}
 	h.Observe(uint64(probes))
 	b.m.longest.offerNow(key, uint64(probes))
-	if n%flushChunk == 0 {
-		c.Add(n - max(o.flushed, n-flushChunk))
+	if o.n%flushChunk == 0 {
+		c.Add(o.n - max(o.flushed, o.n-flushChunk))
 	}
 }
 
 // Flush publishes the locally accumulated operation counts to the
-// shared metrics block. It must run under the adapter's owner, with
-// no lookup in flight.
+// shared metrics block. It must run under the adapter's owner.
 //
 //sepe:noalloc
 func (b *BatchedContainerOps) Flush() {
-	if s := b.sharedGets.Load(); s > b.gets.n {
-		b.gets.n = s
-	}
 	b.puts.flush(&b.m.puts)
 	b.gets.flush(&b.m.gets)
 	b.dels.flush(&b.m.deletes)

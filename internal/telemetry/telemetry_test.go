@@ -192,49 +192,11 @@ func TestBatchedContainerOpsSingleOwner(t *testing.T) {
 	}
 }
 
-// TestBatchedContainerOpsLayout pins the size the adapters' doc
-// comments rely on: one 64-byte cache line each.
+// TestBatchedContainerOpsLayout pins the size the adapter's doc
+// comment relies on: one 64-byte cache line.
 func TestBatchedContainerOpsLayout(t *testing.T) {
 	if size := unsafe.Sizeof(BatchedContainerOps{}); size != 64 {
 		t.Fatalf("BatchedContainerOps is %d bytes, want 64", size)
-	}
-	if size := unsafe.Sizeof(ShardContainerOps{}); size != 64 {
-		t.Fatalf("ShardContainerOps is %d bytes, want 64", size)
-	}
-}
-
-// TestBatchedContainerOpsConcurrentGets runs a ShardContainerOps' Get
-// from several goroutines at once, as a shard's readers do under its
-// read lock, then flushes with none in flight, as the shard's write
-// lock does.
-func TestBatchedContainerOpsConcurrentGets(t *testing.T) {
-	const readers, each = 4, 10007
-	m := NewContainerMetrics("shard")
-	b := NewShardContainerOps(m)
-	for round := 1; round <= 3; round++ {
-		var wg sync.WaitGroup
-		for r := 0; r < readers; r++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					b.Get("k", 5)
-				}
-			}()
-		}
-		wg.Wait()
-		want := uint64(round * readers * each)
-		if got := m.Snapshot().Gets; got > want || want-got >= flushChunk {
-			t.Fatalf("round %d: %d gets published before the flush, want within %d of %d", round, got, flushChunk, want)
-		}
-		b.Put("k", 1, 0)
-		b.Flush()
-		if got := m.Snapshot().Gets; got != want {
-			t.Fatalf("round %d: %d gets after the flush, want %d", round, got, want)
-		}
-	}
-	if hs := m.getProbes.Snapshot(); hs.Count != 3*readers*each/probeSampleEvery {
-		t.Fatalf("%d get samples, want %d", hs.Count, 3*readers*each/probeSampleEvery)
 	}
 }
 
